@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check prop bench bench-smoke pages-guard bench-baseline bench-new benchstat bench-json bench-flat bench-parallel bench-grid scal serve smoke-server bench-service metrics-smoke journal-smoke mutate-smoke crash-smoke
+.PHONY: build test race vet check prop bench bench-smoke pages-guard bench-baseline bench-new benchstat bench-grid scal serve smoke-server metrics-smoke journal-smoke mutate-smoke crash-smoke slices-guard
 
 build:
 	$(GO) build ./...
@@ -19,15 +19,31 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-check: build vet race prop metrics-smoke journal-smoke mutate-smoke crash-smoke
+check: build vet race slices-guard prop metrics-smoke journal-smoke mutate-smoke crash-smoke
+
+# The -run regexes of the test slices below. slices-guard checks that
+# every |-alternative of each still matches a test name, so renaming a
+# test cannot silently drop it from its slice.
+METRICS_RUN = TestTrace|TestMetrics|TestStreamTrace|TestExplainDoesNotExecute|TestSlowQueryLog|TestRequestLog|TestStatsReadsMetrics
+JOURNAL_RUN = TestJournal|TestDebugQueries|TestStatsHistory|TestExplainObserved|TestChromeTrace|TestRuntimeCollector|TestRingWraparound|TestWindow|TestStartStop
+MUTATE_RUN = TestMutate|TestSubscribeChurn|TestCacheInvalidationExactNames|TestInstrumentPanicRecovery
+PROP_RUN = TestEquivalenceSeeds|TestInvariantSeeds|TestGeneratorShape|TestFlatPagedEquivalence|TestFlatStatsEquivalenceParallel|TestPlanSelection|TestIngestComputesSkew|TestConcurrentAutoAndGridJoins|TestDeltaSeeds|TestMutateSnapshotIsolationRace
+CRASH_RUN = TestCrashMatrix|TestDurable|TestCheckpoint|TestWAL|TestFaultFS|TestPageFile|TestFsck|TestOpen|FuzzWALRecover
+PAGES_RUN = TestFig7PagesMatchBaseline|TestFlatModeZeroPages
+
+slices-guard:
+	./scripts/slices_guard.sh 'prop=$(PROP_RUN)' 'metrics-smoke=$(METRICS_RUN)' \
+		'journal-smoke=$(JOURNAL_RUN)' 'mutate-smoke=$(MUTATE_RUN)' \
+		'crash-smoke=$(CRASH_RUN)' 'pages-guard=$(PAGES_RUN)'
 
 # Observability slice under the race detector: the obs metric/trace
 # primitives (concurrent scrape-while-mutate, shared-trace Add) and the
 # service-level reconciliation tests (trace sums == response stats,
-# /metrics deltas == per-query stats, explain, slow-query log).
+# /metrics deltas == per-query stats, /stats == /metrics, explain,
+# slow-query log).
 metrics-smoke:
 	$(GO) test -race ./internal/obs/...
-	$(GO) test -race -run 'TestTrace|TestMetrics|TestStreamTrace|TestExplainDoesNotExecute|TestSlowQueryLog|TestRequestLog' ./internal/service/...
+	$(GO) test -race -run '$(METRICS_RUN)' ./internal/service/...
 
 # Introspection slice under the race detector: journal ring wraparound and
 # slowest-K retention (concurrent joins included), stats reconciliation
@@ -35,7 +51,7 @@ metrics-smoke:
 # Chrome trace export golden fields, metrics-history sampling and window
 # math, and the /debug/queries + /stats/history endpoints.
 journal-smoke:
-	$(GO) test -race -run 'TestJournal|TestDebugQueries|TestStatsHistory|TestExplainObserved|TestChromeTrace|TestRuntimeCollector|TestRingWraparound|TestWindow|TestStartStop' \
+	$(GO) test -race -run '$(JOURNAL_RUN)' \
 		./internal/obs/... ./internal/service/...
 
 # Mutation slice under the race detector: the live-dataset surface —
@@ -45,7 +61,7 @@ journal-smoke:
 # recompute), the field-exact cache invalidation regression, and the
 # panic-recovery middleware.
 mutate-smoke:
-	$(GO) test -race -run 'TestMutate|TestSubscribeChurn|TestCacheInvalidationExactNames|TestInstrumentPanicRecovery' \
+	$(GO) test -race -run '$(MUTATE_RUN)' \
 		./internal/service/...
 
 # Property-based equivalence harness (internal/check): the fixed seed
@@ -56,7 +72,7 @@ mutate-smoke:
 # over the whole module (CI uploads coverage.out).
 prop:
 	$(GO) test -race -coverprofile=coverage.out -coverpkg=./... \
-		-run 'TestEquivalenceSeeds|TestInvariantSeeds|TestGeneratorShape|TestFlatPagedEquivalence|TestFlatStatsEquivalenceParallel|TestPlanSelection|TestIngestComputesSkew|TestConcurrentAutoAndGridJoins|TestDeltaSeeds|TestMutateSnapshotIsolationRace' \
+		-run '$(PROP_RUN)' \
 		./internal/check/... ./internal/service/...
 
 bench:
@@ -68,13 +84,14 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
 
 # Pages guard: recompute the Fig. 7 joins and assert pages/op is
-# byte-identical to the committed BENCH_nmcij.json for NM/PM/FM, and that
+# byte-identical to the counts pinned in pages_guard_test.go for NM/PM/FM
+# (6279/9788/12810), and that
 # flat-storage NM emits the byte-identical pair sequence with zero page
 # accesses. The paper's I/O metric must never move under CPU-side
 # optimization (decode caching, pooling, flat arenas, geometric fast
 # paths); CI fails the build if it does.
 pages-guard:
-	$(GO) test -run 'TestFig7PagesMatchBaseline|TestFlatModeZeroPages' -count 1 .
+	$(GO) test -run '$(PAGES_RUN)' -count 1 .
 
 # benchstat workflow: record a baseline on the base commit, re-run on your
 # branch, compare. BENCH_FILTER narrows the set; COUNT=10 gives benchstat
@@ -90,24 +107,7 @@ benchstat:
 		echo "benchstat not installed: go install golang.org/x/perf/cmd/benchstat@latest"; exit 1; }
 	benchstat bench-baseline.txt bench-new.txt
 
-# Machine-readable perf trajectory (ns/op, allocs/op, pages/op for Fig. 7
-# and the parallel speedup curve) written to BENCH_nmcij.json.
-bench-json:
-	./scripts/bench_json.sh
-
-# Paged-vs-flat storage comparison (Fig. 7 NM on both backends plus the
-# arena build cost), written to BENCH_flat.json.
-bench-flat:
-	./scripts/bench_json.sh flat
-
-# Multicore speedup curve (1/2/4/8 workers x paged/flat), written to
-# BENCH_parallel.json; on a 1-CPU host the document records the skip
-# reason instead of a misleading 1.0x curve.
-bench-parallel:
-	./scripts/bench_json.sh parallel
-
-# Grid-vs-NM crossover at reduced scale, recorded in BENCH_grid.json
-# (also part of bench-json).
+# Grid-vs-NM crossover table at reduced scale.
 bench-grid:
 	$(GO) run ./cmd/cijbench -exp grid -scale 0.2
 
@@ -132,11 +132,6 @@ smoke-server:
 # SIGTERM cycle round-trips the clean-shutdown marker. Part of `make
 # check`; CI runs it on every push.
 crash-smoke:
-	$(GO) test -race -run 'TestCrashMatrix|TestDurable|TestCheckpoint|TestWAL|TestFaultFS|TestPageFile|TestFsck|TestOpen' \
+	$(GO) test -race -run '$(CRASH_RUN)' \
 		./internal/check/... ./internal/service/... ./internal/storage/... ./internal/rtree/...
 	./scripts/crash_smoke.sh
-
-# Query-service load benchmark: sustained req/s at 1/4/16 concurrent join
-# clients, written to BENCH_service.json (also part of bench-json).
-bench-service:
-	$(GO) run ./cmd/cijbench -exp serve -scale 0.02 -clients 1,4,16 -servejson BENCH_service.json

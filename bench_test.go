@@ -312,18 +312,15 @@ func benchParallel(b *testing.B, workers int, balanced, flat bool) {
 }
 
 // BenchmarkParallel_SpeedupCurve measures workers=1/2/4/8 over both
-// storage backends; `make bench-parallel` commits it as
-// BENCH_parallel.json. Dividing each width's ns/op into its own
+// storage backends. Dividing each width's ns/op into its own
 // workers=1 row gives the per-backend speedup curve — flat removes the
 // shared-buffer decode work from the span, so it is the curve where
 // multicore scaling is visible undiluted.
 func BenchmarkParallel_SpeedupCurve(b *testing.B) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		// A single-CPU host serializes every worker pool, so the "curve"
-		// degenerates to 1.0x at all widths. Skipping keeps that
-		// meaningless flat line out of BENCH_parallel.json (whose host
-		// block records the CPU count and the skip reason precisely so
-		// readers can interpret absences like this one).
+		// degenerates to 1.0x at all widths; skip rather than report
+		// that meaningless flat line.
 		b.Skip("GOMAXPROCS=1: a speedup curve measured on one CPU records a misleading 1.0x everywhere")
 	}
 	for _, backend := range []struct {

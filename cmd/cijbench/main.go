@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,15 +39,10 @@ type experiment struct {
 }
 
 type config struct {
-	scale     float64
-	seed      int64
-	buffer    float64
-	workers   []int
-	clients   []int
-	serveAddr string
-	serveDur  time.Duration
-	serveJSON string
-	gridJSON  string
+	scale   float64
+	seed    int64
+	buffer  float64
+	workers []int
 }
 
 func scaled(n int, cfg config) int {
@@ -144,47 +138,11 @@ var experiments = []experiment{
 		}
 		rows := exp.RunGridCrossover(sizes, cfg.buffer, cfg.seed)
 		exp.TableGrid(rows).Fprint(os.Stdout)
-		if cfg.gridJSON != "" {
-			f, err := os.Create(cfg.gridJSON)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := exp.WriteGridJSON(f, rows, cfg.scale); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", cfg.gridJSON)
-		}
 		return nil
 	}},
 	{"scal", "Parallel NM-CIJ: wall-clock speedup vs worker count", func(cfg config) error {
 		rows := exp.RunScalability(scaled(100_000, cfg), cfg.workers, cfg.seed)
 		exp.TableScal(rows).Fprint(os.Stdout)
-		return nil
-	}},
-	{"serve", "Query service load: sustained req/s vs concurrent join clients", func(cfg config) error {
-		rows, err := exp.RunServeLoad(exp.ServeLoadOptions{
-			Addr:     cfg.serveAddr,
-			Clients:  cfg.clients,
-			Duration: cfg.serveDur,
-			N:        scaled(100_000, cfg),
-			Seed:     cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		exp.TableServe(rows).Fprint(os.Stdout)
-		if cfg.serveJSON != "" {
-			f, err := os.Create(cfg.serveJSON)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := exp.WriteServeJSON(f, rows, cfg.scale); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", cfg.serveJSON)
-		}
 		return nil
 	}},
 	{"table3", "Table III: CIJ on real-like dataset pairs", func(cfg config) error {
@@ -224,13 +182,7 @@ func main() {
 		seed       = flag.Int64("seed", 2008, "random seed")
 		buffer     = flag.Float64("buffer", exp.DefaultBufferPct, "LRU buffer size, % of data size")
 		workers    = flag.String("workers", "1,2,4,8", "worker counts for the scal experiment (comma-separated)")
-		clients    = flag.String("clients", "1,4,16", "client counts for the serve experiment (comma-separated)")
-		serveAddr  = flag.String("serveaddr", "", "serve experiment: target a running cijserver instead of an in-process one")
-		serveDur   = flag.Duration("serveduration", 2*time.Second, "serve experiment: duration per concurrency level")
-		serveJSON  = flag.String("servejson", "", "serve experiment: also write rows as JSON to `file` (BENCH_service.json)")
-		gridJSON   = flag.String("gridjson", "BENCH_grid.json", "grid experiment: write crossover rows as JSON to `file` (empty disables)")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		hostInfo   = flag.Bool("hostinfo", false, "print the host-metadata JSON block (cpus, gomaxprocs, cpu model) and exit; scripts/bench_json.sh embeds it so every BENCH_*.json describes its machine identically")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to `file` (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to `file` (go tool pprof)")
 	)
@@ -240,19 +192,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cijbench: -workers: %v\n", err)
 		os.Exit(2)
-	}
-	clientCounts, err := parseWorkers(*clients)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cijbench: -clients: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *hostInfo {
-		if err := json.NewEncoder(os.Stdout).Encode(exp.Host()); err != nil {
-			fmt.Fprintf(os.Stderr, "cijbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list || *expName == "" {
@@ -286,11 +225,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := config{
-		scale: *scale, seed: *seed, buffer: *buffer, workers: workerCounts,
-		clients: clientCounts, serveAddr: *serveAddr, serveDur: *serveDur, serveJSON: *serveJSON,
-		gridJSON: *gridJSON,
-	}
+	cfg := config{scale: *scale, seed: *seed, buffer: *buffer, workers: workerCounts}
 	code := runExperiments(*expName, cfg)
 
 	if *memprofile != "" {

@@ -50,7 +50,6 @@ func main() {
 		admit    = flag.Int("admit", 0, "max concurrent join executions (0 = GOMAXPROCS)")
 		cache    = flag.Int("cache", 0, "result cache entries (0 = default 64, -1 = disabled)")
 		buffer   = flag.Float64("buffer", 0, "per-dataset LRU buffer, % of data pages (0 = paper's 2%)")
-		storage  = flag.String("storage", "auto", "default storage for tree joins: auto (planner picks flat), paged, or flat")
 		preload  = flag.String("preload", "", "datasets to load at startup: name=kind:n[,name=kind:n...]")
 		slow     = flag.Duration("slow", 0, "slow-query threshold; joins slower than this log their full phase trace (0 = off)")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -65,13 +64,6 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *storage {
-	case "auto", "paged", "flat":
-	default:
-		fmt.Fprintf(os.Stderr, "cijserver: unknown -storage %q (want auto, paged or flat)\n", *storage)
-		os.Exit(2)
-	}
-
 	level, err := parseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cijserver: %v\n", err)
@@ -83,7 +75,6 @@ func main() {
 		BufferPct:          *buffer,
 		CacheEntries:       *cache,
 		MaxConcurrent:      *admit,
-		DefaultStorage:     *storage,
 		Logger:             logger,
 		SlowQuery:          *slow,
 		JournalEntries:     *journalEntries,

@@ -3,14 +3,12 @@
 // pointsets, across cardinalities and distributions. It extends the
 // paper's evaluation with the question the ROADMAP's multi-backend goal
 // raises — when does partition-based in-memory evaluation beat index
-// traversal? — and records the answer machine-readably in BENCH_grid.json
-// so the planner's routing thresholds stay anchored to measurements.
+// traversal? — and prints the crossover table the planner's routing
+// thresholds are anchored to.
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -34,17 +32,17 @@ var GridDistributions = []string{"uniform", "clustered", "pointmass"}
 
 // GridRow is one (distribution, cardinality) cell of the crossover sweep.
 type GridRow struct {
-	Dist  string  `json:"dist"`
-	N     int     `json:"n"`
-	Pairs int64   `json:"pairs"`
-	Skew  float64 `json:"skew"` // planner's estimate on the P side
+	Dist  string
+	N     int
+	Pairs int64
+	Skew  float64 // planner's estimate on the P side
 	// Wall-clock milliseconds of each backend on identical inputs.
-	GridMS float64 `json:"grid_ms"`
-	NMMS   float64 `json:"nm_ms"`
+	GridMS float64
+	NMMS   float64
 	// Speedup is NM/grid wall time: > 1 where the in-memory backend wins.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// NMPages is NM-CIJ's physical I/O (the grid backend performs none).
-	NMPages int64 `json:"nm_pages"`
+	NMPages int64
 }
 
 // genGridSet materializes one side of a crossover input.
@@ -138,22 +136,4 @@ func TableGrid(rows []GridRow) Table {
 		})
 	}
 	return t
-}
-
-// WriteGridJSON writes the crossover rows as the BENCH_grid.json document.
-func WriteGridJSON(w io.Writer, rows []GridRow, scale float64) error {
-	doc := struct {
-		Date  string    `json:"date"`
-		Host  HostInfo  `json:"host"`
-		Scale float64   `json:"scale"`
-		Rows  []GridRow `json:"rows"`
-	}{
-		Date:  time.Now().UTC().Format(time.RFC3339),
-		Host:  Host(),
-		Scale: scale,
-		Rows:  rows,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

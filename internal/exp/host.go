@@ -6,19 +6,17 @@ import (
 	"strings"
 )
 
-// HostInfo describes the machine a benchmark document was recorded on.
-// Every BENCH_*.json embeds it: the committed performance trajectory is
-// meaningless without knowing how much parallelism the host could express
-// — a flat speedup curve recorded on one CPU says nothing about the
-// engine, and earlier documents omitted exactly that fact.
+// HostInfo describes the machine a measurement was taken on: a wall-clock
+// number is meaningless without knowing how much parallelism the host
+// could express. perfbench stamps it on every row it writes.
 type HostInfo struct {
 	// CPUs is the number of logical CPUs (runtime.NumCPU).
-	CPUs int `json:"cpus"`
+	CPUs int
 	// GOMAXPROCS is the effective Go scheduler width at record time.
-	GOMAXPROCS int `json:"gomaxprocs"`
+	GOMAXPROCS int
 	// CPUModel is the processor model string, "unknown" when it cannot be
 	// determined.
-	CPUModel string `json:"cpu_model"`
+	CPUModel string
 }
 
 // Host returns the current machine's HostInfo.
@@ -31,8 +29,7 @@ func Host() HostInfo {
 }
 
 // cpuModel extracts the processor model from /proc/cpuinfo (Linux); other
-// platforms report "unknown" — the JSON field stays machine-readable
-// either way.
+// platforms report "unknown".
 func cpuModel() string {
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

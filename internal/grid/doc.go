@@ -52,10 +52,9 @@
 //
 // With near-uniform density every phase is linear in n and allocation
 // light, and the backend beats the tree algorithms on wall clock (see
-// cijbench -exp grid, which records the crossover against NM-CIJ in
-// BENCH_grid.json). Under heavy skew a single tile can hold thousands of
-// points, and the per-tile batches degrade toward the quadratic brute
-// force; SkewEstimate quantifies this, and the query planner
-// (internal/service) uses it to route skewed joins to the tree-based
-// algorithms instead.
+// cijbench -exp grid, which prints the crossover against NM-CIJ). Under
+// heavy skew a single tile can hold thousands of points, and the
+// per-tile batches degrade toward the quadratic brute force;
+// SkewEstimate quantifies this, and the query planner (internal/service)
+// uses it to route skewed joins to the tree-based algorithms instead.
 package grid

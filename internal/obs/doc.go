@@ -20,7 +20,7 @@
 //
 // Histograms expose Snapshot (a consistent-enough copy of bucket counts)
 // with Quantile estimation by linear interpolation inside the bucket, the
-// mechanism behind the p50/p95/p99 columns of BENCH_service.json.
+// mechanism behind the p50/p95/p99 figures of /stats/history.
 //
 // # Tracing
 //
@@ -49,8 +49,9 @@
 // # Snapshots, history and runtime metrics
 //
 // Registry.Snapshot captures every family as plain values keyed by
-// flattened series identity (name{labels}), histograms as HistSnapshot.
-// The obs/history subpackage rings those snapshots up on a fixed
+// flattened series identity (name{labels}), histograms as HistSnapshot;
+// ScrapeSnapshot.Sum and HistSum fold a family's series, optionally
+// filtered by label value. The obs/history subpackage rings those snapshots up on a fixed
 // interval and computes windowed deltas, rates, hit-ratios and quantiles
 // between any two of them — self-scraped Prometheus-style trend queries
 // (GET /stats/history) with no external scraper.

@@ -12,7 +12,6 @@
 package history
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -28,11 +27,6 @@ type Sample struct {
 	T    time.Time
 	Snap obs.ScrapeSnapshot
 }
-
-// Sum returns this sample's value of the family, summed over its series
-// (for gauges: the value at capture time; for counters: the cumulative
-// count).
-func (s Sample) Sum(family string) float64 { return familySum(s.Snap, family) }
 
 // Ring is the capped sample ring. All methods are safe for concurrent
 // use; sampling never blocks metric writers (obs snapshots are atomic
@@ -147,30 +141,13 @@ func (w Window) Span() time.Duration {
 	return w.Samples[len(w.Samples)-1].T.Sub(w.Samples[0].T)
 }
 
-// matches reports whether a flattened series key belongs to the family:
-// the bare name, or name{...} for labeled series.
-func matches(key, family string) bool {
-	return key == family || (strings.HasPrefix(key, family) && len(key) > len(family) && key[len(family)] == '{')
-}
-
-// familySum sums every series of the family in one snapshot.
-func familySum(snap obs.ScrapeSnapshot, family string) float64 {
-	var sum float64
-	for k, v := range snap.Values {
-		if matches(k, family) {
-			sum += v
-		}
-	}
-	return sum
-}
-
 // Delta returns the window's increase of the counter family, summed over
 // its series. Fewer than two samples — no interval — yields 0.
 func (w Window) Delta(family string) float64 {
 	if len(w.Samples) < 2 {
 		return 0
 	}
-	return familySum(w.Samples[len(w.Samples)-1].Snap, family) - familySum(w.Samples[0].Snap, family)
+	return w.Samples[len(w.Samples)-1].Snap.Sum(family) - w.Samples[0].Snap.Sum(family)
 }
 
 // Rate returns Delta per second of window span.
@@ -188,18 +165,7 @@ func (w Window) Last(family string) float64 {
 	if len(w.Samples) == 0 {
 		return 0
 	}
-	return familySum(w.Samples[len(w.Samples)-1].Snap, family)
-}
-
-// histSum folds every series of a histogram family in one snapshot.
-func histSum(snap obs.ScrapeSnapshot, family string) obs.HistSnapshot {
-	var sum obs.HistSnapshot
-	for k, h := range snap.Hists {
-		if matches(k, family) {
-			sum = sum.Add(h)
-		}
-	}
-	return sum
+	return w.Samples[len(w.Samples)-1].Snap.Sum(family)
 }
 
 // HistDelta returns the histogram family's bucket increments over the
@@ -209,7 +175,7 @@ func (w Window) HistDelta(family string) obs.HistSnapshot {
 	if len(w.Samples) < 2 {
 		return obs.HistSnapshot{}
 	}
-	return histSum(w.Samples[len(w.Samples)-1].Snap, family).Sub(histSum(w.Samples[0].Snap, family))
+	return w.Samples[len(w.Samples)-1].Snap.HistSum(family).Sub(w.Samples[0].Snap.HistSum(family))
 }
 
 // Quantile estimates the q-quantile of the histogram family's

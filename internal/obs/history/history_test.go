@@ -29,10 +29,10 @@ func TestRingWraparound(t *testing.T) {
 	}
 	// Oldest surviving sample is the 3rd taken (counter at 3), newest the
 	// 6th (counter at 6) — and they must come out oldest first.
-	if got := w.Samples[0].Sum("test_total"); got != 3 {
+	if got := w.Samples[0].Snap.Sum("test_total"); got != 3 {
 		t.Fatalf("oldest sample counter = %g, want 3", got)
 	}
-	if got := w.Samples[3].Sum("test_total"); got != 6 {
+	if got := w.Samples[3].Snap.Sum("test_total"); got != 6 {
 		t.Fatalf("newest sample counter = %g, want 6", got)
 	}
 	for i := 1; i < len(w.Samples); i++ {

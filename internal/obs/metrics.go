@@ -197,8 +197,7 @@ func (r *Registry) FindCounter(name string, labelValues ...string) *Counter {
 }
 
 // FindHistogram returns the histogram series for the given label values,
-// or nil when absent. Test/bench accessor (histogram quantiles for
-// BENCH_service.json come through here).
+// or nil when absent. Test/bench accessor.
 func (r *Registry) FindHistogram(name string, labelValues ...string) *Histogram {
 	if s := r.find(name, typeHistogram, labelValues); s != nil {
 		return s.h
@@ -464,6 +463,51 @@ func (r *Registry) Snapshot() ScrapeSnapshot {
 		}
 	}
 	return snap
+}
+
+// Sum returns the family's value summed over its series — the current
+// value for gauges, the cumulative count for counters. Each label/value
+// pair in match (label, value, label, value, ...) keeps only the series
+// carrying that label value.
+func (s ScrapeSnapshot) Sum(family string, match ...string) float64 {
+	var sum float64
+	for k, v := range s.Values {
+		if inFamily(k, family, match) {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// HistSum folds every series of the histogram family into one snapshot.
+func (s ScrapeSnapshot) HistSum(family string) HistSnapshot {
+	var sum HistSnapshot
+	for k, h := range s.Hists {
+		if inFamily(k, family, nil) {
+			sum = sum.Add(h)
+		}
+	}
+	return sum
+}
+
+// inFamily reports whether a flattened series key belongs to the family
+// (the bare name, or name{...} for labeled series) and carries every
+// label/value pair of match.
+func inFamily(key, family string, match []string) bool {
+	if key == family {
+		return len(match) == 0
+	}
+	if !strings.HasPrefix(key, family) || len(key) == len(family) || key[len(family)] != '{' {
+		return false
+	}
+	labels := key[len(family):]
+	for i := 0; i+1 < len(match); i += 2 {
+		pair := match[i] + `="` + escapeLabel(match[i+1]) + `"`
+		if !strings.Contains(labels, "{"+pair) && !strings.Contains(labels, ","+pair) {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteTo renders every family in the text exposition format, families

@@ -249,3 +249,43 @@ func TestCounterFuncAndHandler(t *testing.T) {
 		t.Fatal("nil handler")
 	}
 }
+
+// TestScrapeSnapshotSum: Sum folds a family's series (and only that
+// family's — a longer name sharing the prefix stays out), keeps just the
+// series carrying every requested label value, and HistSum folds
+// histogram series the same way.
+func TestScrapeSnapshotSum(t *testing.T) {
+	reg := NewRegistry()
+	joins := reg.CounterVec("j_total", "", "algo", "source")
+	joins.With("nm", "computed").Add(2)
+	joins.With("nm", "cached").Add(3)
+	joins.With("grid", "computed").Add(5)
+	joins.With(`x",source="computed`, "cached").Add(7) // a value that spells a label pair
+	reg.Counter("j_total_extra", "").Add(100)
+	reg.Counter("plain", "").Add(4)
+	lat := reg.HistogramVec("lat", "", []float64{1, 2}, "algo")
+	lat.With("nm").Observe(0.5)
+	lat.With("grid").Observe(1.5)
+
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		family string
+		match  []string
+		want   float64
+	}{
+		{"j_total", nil, 17},
+		{"j_total", []string{"source", "computed"}, 7},
+		{"j_total", []string{"source", "computed", "algo", "nm"}, 2},
+		{"j_total", []string{"algo", "pm"}, 0},
+		{"plain", nil, 4},
+		{"plain", []string{"algo", "nm"}, 0},
+		{"absent", nil, 0},
+	} {
+		if got := snap.Sum(c.family, c.match...); got != c.want {
+			t.Errorf("Sum(%q, %q) = %g, want %g", c.family, c.match, got, c.want)
+		}
+	}
+	if h := snap.HistSum("lat"); h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
+		t.Errorf("HistSum(lat) = %+v, want one observation in each of the first two buckets", h)
+	}
+}

@@ -212,14 +212,14 @@ func (s *Service) handleStatsHistory(w http.ResponseWriter, r *http.Request) {
 	for _, sm := range win.Samples {
 		resp.Series = append(resp.Series, HistoryPointJSON{
 			Time:         sm.T,
-			Requests:     sm.Sum("cij_http_requests_total"),
-			Joins:        sm.Sum("cij_joins_total"),
-			PagesRead:    sm.Sum("cij_pages_read_total"),
-			LogicalReads: sm.Sum("cij_logical_reads_total"),
-			CacheHits:    sm.Sum("cij_cache_hits_total"),
-			CacheMisses:  sm.Sum("cij_cache_misses_total"),
-			Goroutines:   sm.Sum("go_goroutines"),
-			HeapInuse:    sm.Sum("go_heap_inuse_bytes"),
+			Requests:     sm.Snap.Sum("cij_http_requests_total"),
+			Joins:        sm.Snap.Sum("cij_joins_total"),
+			PagesRead:    sm.Snap.Sum("cij_pages_read_total"),
+			LogicalReads: sm.Snap.Sum("cij_logical_reads_total"),
+			CacheHits:    sm.Snap.Sum("cij_cache_hits_total"),
+			CacheMisses:  sm.Snap.Sum("cij_cache_misses_total"),
+			Goroutines:   sm.Snap.Sum("go_goroutines"),
+			HeapInuse:    sm.Snap.Sum("go_heap_inuse_bytes"),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

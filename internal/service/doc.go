@@ -105,7 +105,8 @@
 // views), admission-queue wait/depth, and func-backed cache/registry
 // gauges. The I/O families are fed from the same storage.Stats aggregate
 // the response reports, so /metrics deltas reconcile with per-query stats
-// exactly. POST /join?explain=1 returns the planner's decision (plan,
+// exactly. The registry is the only counter store: GET /stats sums its
+// snapshot (ScrapeSnapshot.Sum) rather than keeping counters of its own. POST /join?explain=1 returns the planner's decision (plan,
 // reason, inputs) without executing; JoinRequest.Trace / &trace=1 attach
 // the per-phase obs.Trace spans to the response (or as a "trace" NDJSON
 // line); Config.SlowQuery arms a slow-query log that dumps the full phase

@@ -394,8 +394,8 @@ type StatsResponse struct {
 	// Mutations counts accepted point-mutation batches; DeltaRuns the
 	// incremental maintenance computations they triggered (one per live
 	// subscription pair); PairsChurned the +pair/-pair events those runs
-	// emitted. The three reconcile with cij_mutations_total,
-	// cij_delta_runs_total and cij_pair_churn_total on /metrics.
+	// emitted. They read cij_mutation_batches_total, cij_delta_runs_total
+	// and cij_pair_churn_total.
 	Mutations    int64 `json:"mutations"`
 	DeltaRuns    int64 `json:"delta_runs"`
 	PairsChurned int64 `json:"pairs_churned"`
@@ -405,9 +405,12 @@ type StatsResponse struct {
 	MaxConcurrent int `json:"max_concurrent"`
 }
 
-// StatsSnapshot assembles the current counters.
+// StatsSnapshot assembles the current counters. Every count is read from
+// one snapshot of the metric registry — the families /metrics renders —
+// so /stats and /metrics cannot disagree.
 func (s *Service) StatsSnapshot() StatsResponse {
-	hits, misses, evicted, entries := s.cache.counters()
+	snap := s.metrics.reg.Snapshot()
+	sum := func(family string, match ...string) int64 { return int64(snap.Sum(family, match...)) }
 	datasets := s.reg.List()
 	infos := make([]DatasetInfo, len(datasets))
 	for i, d := range datasets {
@@ -417,21 +420,21 @@ func (s *Service) StatsSnapshot() StatsResponse {
 		UptimeMS:      float64(time.Since(s.start)) / float64(time.Millisecond),
 		Build:         buildInfo(),
 		Datasets:      infos,
-		Ingests:       s.ingests.Load(),
-		JoinsServed:   s.joinsServed.Load(),
-		JoinsComputed: s.joinsComputed.Load(),
-		JoinsFlat:     s.joinsFlat.Load(),
-		PageAccesses:  s.pageAccesses.Load(),
-		DecodeHits:    s.decodeHits.Load(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
-		CacheEntries:  entries,
-		CacheEvicted:  evicted,
-		Mutations:     s.mutations.Load(),
-		DeltaRuns:     s.deltaRuns.Load(),
-		PairsChurned:  s.pairsChurned.Load(),
-		Subscribers:   s.hub.count(),
-		InFlight:      s.InFlight(),
+		Ingests:       sum("cij_ingests_total"),
+		JoinsServed:   sum("cij_joins_total"),
+		JoinsComputed: sum("cij_joins_total", "source", "computed"),
+		JoinsFlat:     sum("cij_flat_joins_total"),
+		PageAccesses:  sum("cij_pages_read_total") + sum("cij_pages_written_total"),
+		DecodeHits:    sum("cij_decode_hits_total"),
+		CacheHits:     sum("cij_cache_hits_total"),
+		CacheMisses:   sum("cij_cache_misses_total"),
+		CacheEntries:  int(sum("cij_result_cache_entries")),
+		CacheEvicted:  sum("cij_result_cache_evictions_total"),
+		Mutations:     sum("cij_mutation_batches_total"),
+		DeltaRuns:     sum("cij_delta_runs_total"),
+		PairsChurned:  sum("cij_pair_churn_total"),
+		Subscribers:   int(sum("cij_subscribers")),
+		InFlight:      int(sum("cij_joins_in_flight")),
 		MaxConcurrent: s.cfg.MaxConcurrent,
 	}
 }

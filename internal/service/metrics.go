@@ -13,9 +13,10 @@ import (
 
 // serviceMetrics is the service's metric bundle: every family registered
 // once at construction, mutated from the hot paths through atomic
-// counters only. Cache and registry figures are func-backed — scraped
-// from the structures that already maintain them rather than counted
-// twice.
+// counters only. It is the single source of every count the service
+// reports: /metrics renders it, /stats and /stats/history read its
+// snapshots. Gauges of live state (cache size, datasets, subscribers)
+// are func-backed — scraped from the structures that already hold them.
 type serviceMetrics struct {
 	reg *obs.Registry
 
@@ -23,6 +24,7 @@ type serviceMetrics struct {
 	httpLatency  *obs.HistogramVec // cij_http_request_seconds{route}
 
 	joins          *obs.CounterVec   // cij_joins_total{algo,source}
+	flatJoins      *obs.Counter      // cij_flat_joins_total
 	joinLatency    *obs.HistogramVec // cij_join_seconds{algo}
 	planner        *obs.CounterVec   // cij_planner_decisions_total{algo}
 	plannerStorage *obs.CounterVec   // cij_planner_storage_total{storage}
@@ -38,15 +40,18 @@ type serviceMetrics struct {
 	admissionWait    *obs.Histogram // cij_admission_wait_seconds
 	admissionWaiting *obs.Gauge     // requests currently queued for a slot
 
-	cacheHits   *obs.Counter // cij_cache_hits_total (monotone, cache-fed)
-	cacheMisses *obs.Counter // cij_cache_misses_total
+	cacheHits      *obs.Counter // cij_cache_hits_total (cache-fed)
+	cacheMisses    *obs.Counter // cij_cache_misses_total
+	cacheEvictions *obs.Counter // cij_result_cache_evictions_total
 
-	panics       *obs.Counter    // cij_panics_total
-	mutations    *obs.CounterVec // cij_mutations_total{op}
-	deltaRuns    *obs.Counter    // cij_delta_runs_total
-	deltaLatency *obs.Histogram  // cij_delta_seconds
-	churnEvents  *obs.CounterVec // cij_pair_churn_total{kind}
-	subLagged    *obs.Counter    // cij_subscribers_lagged_total
+	ingests         *obs.Counter    // cij_ingests_total
+	panics          *obs.Counter    // cij_panics_total
+	mutations       *obs.CounterVec // cij_mutations_total{op}
+	mutationBatches *obs.Counter    // cij_mutation_batches_total
+	deltaRuns       *obs.Counter    // cij_delta_runs_total
+	deltaLatency    *obs.Histogram  // cij_delta_seconds
+	churnEvents     *obs.CounterVec // cij_pair_churn_total{kind}
+	subLagged       *obs.Counter    // cij_subscribers_lagged_total
 
 	walAppends       *obs.Counter   // cij_wal_appends_total
 	walFsync         *obs.Histogram // cij_wal_fsync_seconds
@@ -58,7 +63,8 @@ type serviceMetrics struct {
 }
 
 // newServiceMetrics registers the service's metric families on a fresh
-// obs registry and wires the func-backed families to s's live state.
+// obs registry and wires the func-backed families to s's live state. It
+// runs before s.cache exists: the cache is built from the counters here.
 func newServiceMetrics(s *Service) *serviceMetrics {
 	reg := obs.NewRegistry()
 	m := &serviceMetrics{
@@ -69,6 +75,8 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"HTTP request latency by route.", nil, "route"),
 		joins: reg.CounterVec("cij_joins_total",
 			"Joins served, by executed algorithm and source (computed or cached).", "algo", "source"),
+		flatJoins: reg.Counter("cij_flat_joins_total",
+			"Computed joins that read flat (arena) storage."),
 		joinLatency: reg.HistogramVec("cij_join_seconds",
 			"Join computation latency by algorithm (computed joins only).", nil, "algo"),
 		planner: reg.CounterVec("cij_planner_decisions_total",
@@ -97,8 +105,18 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Joins currently queued for an admission slot."),
 		panics: reg.Counter("cij_panics_total",
 			"Handler panics recovered by the HTTP middleware (each also answers 500)."),
+		cacheHits: reg.Counter("cij_cache_hits_total",
+			"Result-cache hits."),
+		cacheMisses: reg.Counter("cij_cache_misses_total",
+			"Result-cache misses."),
+		cacheEvictions: reg.Counter("cij_result_cache_evictions_total",
+			"Results evicted from the cache."),
+		ingests: reg.Counter("cij_ingests_total",
+			"Dataset ingests."),
 		mutations: reg.CounterVec("cij_mutations_total",
 			"Point-level dataset changes applied, by operation.", "op"),
+		mutationBatches: reg.Counter("cij_mutation_batches_total",
+			"Mutation batches accepted."),
 		deltaRuns: reg.Counter("cij_delta_runs_total",
 			"Incremental join maintenance runs (one per live subscription pair per mutation)."),
 		deltaLatency: reg.Histogram("cij_delta_seconds",
@@ -123,33 +141,13 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"WAL records skipped as stale during cold-start recovery (already folded into a snapshot)."),
 	}
 
-	// Hits and misses are real monotone counters (not func-backed views):
-	// the history ring computes hit-ratio over arbitrary windows from
-	// counter deltas, which requires the series to exist as stored,
-	// atomically ticking samples.
-	m.cacheHits = reg.Counter("cij_cache_hits_total",
-		"Result-cache hits.")
-	m.cacheMisses = reg.Counter("cij_cache_misses_total",
-		"Result-cache misses.")
-	s.cache.setCounters(m.cacheHits, m.cacheMisses)
-
 	reg.GaugeVec("cij_build_info",
 		"Build attribution of this binary; constant 1, the payload is the labels.",
 		"go_version", "module_version", "vcs_revision").
 		With(buildInfo().GoVersion, buildInfo().ModuleVersion, buildInfo().Revision).Set(1)
 
-	reg.CounterFunc("cij_result_cache_evictions_total",
-		"Results evicted from the cache.", func() float64 {
-			_, _, evicted, _ := s.cache.counters()
-			return float64(evicted)
-		})
 	reg.GaugeFunc("cij_result_cache_entries",
-		"Results currently cached.", func() float64 {
-			_, _, _, entries := s.cache.counters()
-			return float64(entries)
-		})
-	reg.CounterFunc("cij_ingests_total",
-		"Dataset ingests.", func() float64 { return float64(s.ingests.Load()) })
+		"Results currently cached.", func() float64 { return float64(s.cache.len()) })
 	reg.GaugeFunc("cij_datasets",
 		"Datasets currently registered.", func() float64 { return float64(len(s.reg.List())) })
 	reg.GaugeFunc("cij_joins_in_flight",

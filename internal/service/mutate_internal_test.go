@@ -10,6 +10,7 @@ import (
 
 	"cij/internal/core"
 	"cij/internal/dataset"
+	"cij/internal/obs"
 	"cij/internal/storage"
 )
 
@@ -19,7 +20,7 @@ import (
 // entries, and every entry involving the named dataset goes regardless
 // of which side it sits on.
 func TestCacheInvalidationExactNames(t *testing.T) {
-	c := newResultCache(16)
+	c := newResultCache(16, new(obs.Counter), new(obs.Counter), new(obs.Counter))
 	res := &cachedResult{Pairs: []core.Pair{{P: 1, Q: 2}}, Count: 1, IO: storage.Stats{}}
 	put := func(left, right string) string {
 		key := left + "|" + right // distinct handle per entry; content is irrelevant here

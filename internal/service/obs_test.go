@@ -470,3 +470,100 @@ func TestRequestLog(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestStatsReadsMetrics: every /stats counter is the value of its
+// /metrics series, across computed, cached and flat joins, an ingest, a
+// mutation batch and the delta run it triggers for a subscriber; and the
+// /stats JSON keeps its key set.
+func TestStatsReadsMetrics(t *testing.T) {
+	p, q := dataset.Uniform(300, 191), dataset.Uniform(300, 192)
+	svc, ts := newTestServer(t, service.Config{CacheEntries: 1}, p, q)
+
+	sub, err := http.Get(ts.URL + "/join/subscribe?left=p&right=q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Body.Close()
+	if !bufio.NewScanner(sub.Body).Scan() {
+		t.Fatal("no subscribed line")
+	}
+
+	paged := service.JoinRequest{Left: "p", Right: "q", Algo: "nm", Storage: "paged"}
+	postJoin(t, ts, paged) // computed
+	postJoin(t, ts, paged) // cached
+	// Computed on flat storage; with one cache slot it evicts the paged entry.
+	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm", Storage: "flat"})
+	if _, err := svc.Ingest("r", dataset.Uniform(100, 193)); err != nil {
+		t.Fatal(err)
+	}
+	mr, code := mutate(t, ts, "p", service.MutationRequest{
+		Insert: []service.PointJSON{{X: 4500, Y: 4500}},
+		Delete: []int64{17},
+	})
+	if code != http.StatusOK || len(mr.Deltas) != 1 {
+		t.Fatalf("mutation status %d with %d delta runs, want 200 with 1", code, len(mr.Deltas))
+	}
+
+	var stats map[string]any
+	getJSON(t, ts.URL+"/stats", &stats)
+	m := scrapeMetrics(t, ts.URL)
+	// series sums the exposition samples of a family, keeping only those
+	// whose label set contains filter.
+	series := func(family, filter string) float64 {
+		var sum float64
+		for k, v := range m {
+			if (k == family || strings.HasPrefix(k, family+"{")) && strings.Contains(k, filter) {
+				sum += v
+			}
+		}
+		return sum
+	}
+
+	wantKeys := []string{
+		"uptime_ms", "build", "datasets", "ingests", "joins_served", "joins_computed",
+		"joins_flat", "page_accesses", "decode_hits", "cache_hits", "cache_misses",
+		"cache_entries", "cache_evicted", "mutations", "delta_runs", "pairs_churned",
+		"subscribers", "in_flight", "max_concurrent",
+	}
+	if len(stats) != len(wantKeys) {
+		t.Errorf("/stats has %d keys, want %d: %v", len(stats), len(wantKeys), stats)
+	}
+	for _, k := range wantKeys {
+		if _, ok := stats[k]; !ok {
+			t.Errorf("/stats lacks key %q", k)
+		}
+	}
+
+	for _, c := range []struct {
+		key     string
+		metrics float64
+		want    float64 // the value the workload above must produce; -1 = any
+	}{
+		{"ingests", series("cij_ingests_total", ""), 3},
+		{"joins_served", series("cij_joins_total", ""), 3},
+		{"joins_computed", series("cij_joins_total", `source="computed"`), 2},
+		{"joins_flat", series("cij_flat_joins_total", ""), 1},
+		{"page_accesses", series("cij_pages_read_total", "") + series("cij_pages_written_total", ""), -1},
+		{"decode_hits", series("cij_decode_hits_total", ""), -1},
+		{"cache_hits", series("cij_cache_hits_total", ""), 1},
+		{"cache_misses", series("cij_cache_misses_total", ""), 2},
+		{"cache_entries", series("cij_result_cache_entries", ""), 0},
+		{"cache_evicted", series("cij_result_cache_evictions_total", ""), 1},
+		{"mutations", series("cij_mutation_batches_total", ""), 1},
+		{"delta_runs", series("cij_delta_runs_total", ""), 1},
+		{"pairs_churned", series("cij_pair_churn_total", ""), float64(mr.Deltas[0].Added + mr.Deltas[0].Removed)},
+		{"subscribers", series("cij_subscribers", ""), 1},
+		{"in_flight", series("cij_joins_in_flight", ""), 0},
+	} {
+		got, _ := stats[c.key].(float64)
+		if got != c.metrics {
+			t.Errorf("/stats %s = %g, /metrics says %g", c.key, got, c.metrics)
+		}
+		if c.want >= 0 && got != c.want {
+			t.Errorf("/stats %s = %g, want %g", c.key, got, c.want)
+		}
+	}
+	if got, _ := stats["page_accesses"].(float64); got <= 0 {
+		t.Errorf("/stats page_accesses = %g, want > 0 after a paged join", got)
+	}
+}

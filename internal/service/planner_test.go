@@ -10,15 +10,19 @@ import (
 	"cij/internal/geom"
 )
 
-// fakeDataset fabricates a registry entry with the given cardinality and
-// skew statistic; plan() reads nothing else.
+// fakeDataset fabricates a registry entry with the given live
+// cardinality and skew statistic, the only two fields plan() reads.
 func fakeDataset(n int, skew float64) *Dataset {
-	return &Dataset{Points: dataset.Uniform(n, 7), Skew: skew}
+	return &Dataset{Live: n, Skew: skew}
 }
 
 // TestPlanSelection covers every routing path of the auto planner plus
 // the explicit choices, including the new grid branches.
 func TestPlanSelection(t *testing.T) {
+	// Pin a two-wide scheduler so the auto-parallel branch below, which
+	// needs a pool of more than one worker, runs on every host.
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	uniform := func(n int) *Dataset { return fakeDataset(n, 1.0) }
 	skewed := func(n int) *Dataset { return fakeDataset(n, 2*autoGridSkewMax) }
 
@@ -57,18 +61,16 @@ func TestPlanSelection(t *testing.T) {
 		t.Fatal("unknown algo accepted")
 	}
 
-	// The auto-parallel branch fires only when the pool can exceed one
-	// worker, which a single-core runner cannot express.
-	if runtime.GOMAXPROCS(0) > 1 {
-		big := uniform(2 * autoPointsPerWorker)
-		for _, d := range []*Dataset{big, fakeDataset(2*autoPointsPerWorker, 2*autoGridSkewMax)} {
-			pl, err := plan(Query{}, d, big)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pl.Algo != "parallel" {
-				t.Errorf("auto large join planned %q, want parallel (skew %.1f)", pl.Algo, d.Skew)
-			}
+	// A joint cardinality covering two workers goes parallel whatever the
+	// skew.
+	big := uniform(2 * autoPointsPerWorker)
+	for _, d := range []*Dataset{big, skewed(2 * autoPointsPerWorker)} {
+		pl, err := plan(Query{}, d, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Algo != "parallel" || pl.Workers != 2 {
+			t.Errorf("auto large join planned %q with %d workers, want parallel with 2 (skew %.1f)", pl.Algo, pl.Workers, d.Skew)
 		}
 	}
 }

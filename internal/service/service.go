@@ -33,11 +33,6 @@ type Config struct {
 	// traced, and one slower than the threshold logs its full phase trace
 	// at Warn level (and counts in cij_slow_queries_total).
 	SlowQuery time.Duration
-	// DefaultStorage is the storage mode applied when a query leaves the
-	// knob empty: "auto" (empty included; the planner picks flat for the
-	// tree algorithms), "flat", or "paged" (pin every tree join to the
-	// paper's LRU-buffered disk format).
-	DefaultStorage string
 	// JournalEntries caps the query-journal ring; < 0 disables journaling
 	// entirely, 0 selects the default (DefaultJournalEntries). With the
 	// journal on, every computed join is traced so the slowest-K can
@@ -103,16 +98,6 @@ type Service struct {
 	// do NOT take it; they read whatever version is installed when they
 	// resolve names, and COW snapshots keep that read stable.
 	mutMu sync.Mutex
-
-	joinsServed   atomic.Int64 // all successful joins, cache hits included
-	joinsComputed atomic.Int64 // joins that actually executed an algorithm
-	joinsFlat     atomic.Int64 // computed joins that read flat (arena) storage
-	pageAccesses  atomic.Int64 // physical I/O summed over computed joins
-	decodeHits    atomic.Int64 // decoded-node cache hits summed over computed joins
-	ingests       atomic.Int64
-	mutations     atomic.Int64 // accepted mutation batches
-	deltaRuns     atomic.Int64 // incremental maintenance runs (one per live subscription pair per mutation)
-	pairsChurned  atomic.Int64 // +pair/-pair events emitted by delta runs
 }
 
 // flight is one in-progress join computation; done closes when the leader
@@ -143,7 +128,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg.BufferPct),
-		cache:   newResultCache(cfg.CacheEntries),
 		admit:   make(chan struct{}, cfg.MaxConcurrent),
 		flights: make(map[string]*flight),
 		hub:     newSubHub(),
@@ -154,6 +138,7 @@ func New(cfg Config) *Service {
 		s.journal = NewJournal(cfg.JournalEntries, cfg.JournalSlowest, cfg.JournalSink)
 	}
 	s.metrics = newServiceMetrics(s)
+	s.cache = newResultCache(cfg.CacheEntries, s.metrics.cacheHits, s.metrics.cacheMisses, s.metrics.cacheEvictions)
 	s.runtime = obs.NewRuntimeCollector(s.metrics.reg, s.start)
 	s.history = history.New(s.metrics.reg, cfg.HistoryCapacity, s.runtime.Collect)
 	return s
@@ -272,7 +257,7 @@ func (s *Service) Ingest(name string, pts []Point) (*Dataset, error) {
 		}
 	}
 	s.cache.invalidateDataset(name)
-	s.ingests.Add(1)
+	s.metrics.ingests.Inc()
 	return d, nil
 }
 
@@ -283,8 +268,7 @@ type Query struct {
 	// Algo selects the algorithm: nm, pm, fm, parallel, or auto/empty.
 	Algo string
 	// Storage selects the node representation for tree algorithms: flat,
-	// paged, or auto/empty (the planner picks; the service's
-	// DefaultStorage applies first when the query leaves it empty).
+	// paged, or auto/empty (the planner picks).
 	Storage string
 	// Workers fixes the parallel pool size; <= 0 lets the planner size it
 	// from the dataset cardinalities.
@@ -293,16 +277,6 @@ type Query struct {
 	// full result is still computed (and cached), so stats describe the
 	// complete join.
 	TopK int
-}
-
-// applyDefaultStorage fills an empty storage knob from the service
-// configuration, so operators can pin a deployment to paged or flat mode
-// without touching clients (an explicit per-query choice still wins).
-func (s *Service) applyDefaultStorage(q Query) Query {
-	if q.Storage == "" {
-		q.Storage = s.cfg.DefaultStorage
-	}
-	return q
 }
 
 // storageLabel maps a plan's storage onto a bounded metric label ("none"
@@ -343,7 +317,6 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %q", q.Right)
 	}
-	q = s.applyDefaultStorage(q)
 	pl, err := plan(q, left, right)
 	if err != nil {
 		return nil, err
@@ -359,7 +332,6 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 
 	key := cacheKey(left, right, pl.Algo, pl.Workers, pl.Storage)
 	if res, ok := s.cache.get(key); ok {
-		s.joinsServed.Add(1)
 		s.metrics.joins.With(pl.Algo, "cached").Inc()
 		return s.record(q, &Outcome{Result: res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
 	}
@@ -375,7 +347,6 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 			return nil, ctx.Err()
 		}
 		if f.res != nil {
-			s.joinsServed.Add(1)
 			s.metrics.joins.With(pl.Algo, "cached").Inc()
 			return s.record(q, &Outcome{Result: f.res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
 		}
@@ -446,7 +417,7 @@ func (s *Service) record(q Query, out *Outcome) *Outcome {
 }
 
 // compute runs one planned join under the admission semaphore and records
-// it in the cache, the counters and the metric families.
+// it in the cache and the metric families.
 func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, left, right *Dataset, hooks execHooks) (*Outcome, error) {
 	waitStart := time.Now()
 	s.metrics.admissionWaiting.Add(1)
@@ -472,14 +443,10 @@ func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, l
 
 	res := s.execute(left, right, pl, hooks, tr)
 	s.cache.put(key, left.Name, right.Name, res)
-	s.joinsServed.Add(1)
-	s.joinsComputed.Add(1)
-	if pl.Storage == "flat" {
-		s.joinsFlat.Add(1)
-	}
-	s.pageAccesses.Add(res.IO.PageAccesses())
-	s.decodeHits.Add(res.IO.DecodeHits)
 	s.metrics.joins.With(pl.Algo, "computed").Inc()
+	if pl.Storage == "flat" {
+		s.metrics.flatJoins.Inc()
+	}
 	s.metrics.joinLatency.With(pl.Algo).Observe(res.CPU.Seconds())
 	s.metrics.recordJoinIO(res.IO, pl.Storage)
 
