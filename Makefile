@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet check prop bench bench-smoke pages-guard bench-baseline bench-new benchstat bench-grid scal serve smoke-server metrics-smoke journal-smoke mutate-smoke crash-smoke slices-guard
+.PHONY: build test race vet check prop bench bench-smoke pages-guard bench-baseline bench-new benchstat bench-grid scal serve smoke-server metrics-smoke journal-smoke mutate-smoke crash-smoke slices-guard cpu-matrix
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-check: build vet race slices-guard prop metrics-smoke journal-smoke mutate-smoke crash-smoke
+check: build vet race slices-guard cpu-matrix prop metrics-smoke journal-smoke mutate-smoke crash-smoke
 
 # The -run regexes of the test slices below. slices-guard checks that
 # every |-alternative of each still matches a test name, so renaming a
@@ -30,11 +30,23 @@ MUTATE_RUN = TestMutate|TestSubscribeChurn|TestCacheInvalidationExactNames|TestI
 PROP_RUN = TestEquivalenceSeeds|TestInvariantSeeds|TestGeneratorShape|TestFlatPagedEquivalence|TestFlatStatsEquivalenceParallel|TestPlanSelection|TestIngestComputesSkew|TestConcurrentAutoAndGridJoins|TestDeltaSeeds|TestMutateSnapshotIsolationRace
 CRASH_RUN = TestCrashMatrix|TestDurable|TestCheckpoint|TestWAL|TestFaultFS|TestPageFile|TestFsck|TestOpen|FuzzWALRecover
 PAGES_RUN = TestFig7PagesMatchBaseline|TestFlatModeZeroPages
+CPU_RUN = TestPlanSelection|TestFlatStatsEquivalenceParallel
 
 slices-guard:
 	./scripts/slices_guard.sh 'prop=$(PROP_RUN)' 'metrics-smoke=$(METRICS_RUN)' \
 		'journal-smoke=$(JOURNAL_RUN)' 'mutate-smoke=$(MUTATE_RUN)' \
-		'crash-smoke=$(CRASH_RUN)' 'pages-guard=$(PAGES_RUN)'
+		'crash-smoke=$(CRASH_RUN)' 'pages-guard=$(PAGES_RUN)' \
+		'cpu-matrix=$(CPU_RUN)'
+
+# Core-count matrix: the tests whose paths branch on GOMAXPROCS (the
+# planner's autoWorkers, the parallel partitioner, per-worker buffer
+# forks) run at 1, 2 and 4 procs, so every branch runs on every host,
+# whatever its core count. -short on the parallel package skips only its
+# wall-clock speedup assert, which cannot hold at one proc.
+cpu-matrix:
+	$(GO) test -count 1 -cpu 1,2,4 -run '$(CPU_RUN)' \
+		./internal/service/... ./internal/check/...
+	$(GO) test -count 1 -short -cpu 1,2,4 ./internal/parallel/...
 
 # Observability slice under the race detector: the obs metric/trace
 # primitives (concurrent scrape-while-mutate, shared-trace Add) and the

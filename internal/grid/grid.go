@@ -7,11 +7,18 @@ import (
 )
 
 const (
-	// defaultTargetPerCell sizes the grid from data density: the tile side
-	// count is chosen so that an average tile holds about this many points.
-	// Small enough that per-tile work stays near-linear, large enough that
-	// a tile's batch amortizes the ring expansion over many cells.
+	// defaultTargetPerCell sizes the joint (replicate/join) grid from data
+	// density: the tile side count is chosen so that an average tile holds
+	// about this many points. Small enough that per-tile work stays
+	// near-linear, large enough that a tile's batch amortizes the ring
+	// expansion over many cells.
 	defaultTargetPerCell = 48
+	// diagramTargetPerCell is the occupancy the diagram grids aim for, as
+	// seen by the average point (see newDiagramGrid). A diagram batch
+	// tests every member against every site of the tiles it visits, so
+	// its cost is quadratic in occupancy and the target sits well below
+	// the joint grid's.
+	diagramTargetPerCell = 8
 	// maxSide caps the tile count: beyond ~10⁶ points the per-tile batches
 	// stay at the target size by capping the resolution instead of growing
 	// the tile table without bound.
@@ -40,13 +47,42 @@ func newTileGrid(domain geom.Rect, n, targetPerCell int) tileGrid {
 	if targetPerCell <= 0 {
 		targetPerCell = defaultTargetPerCell
 	}
-	side := int(math.Sqrt(float64(n) / float64(targetPerCell)))
-	if side < 1 {
-		side = 1
+	return squareGrid(domain, int(math.Sqrt(float64(n)/float64(targetPerCell))))
+}
+
+// newDiagramGrid sizes the grid a Voronoi diagram of pts is built on. An
+// average-occupancy rule fails under skew: on clustered data most points
+// sit in a few crowded tiles, and a diagram batch is quadratic in its
+// tile's occupancy. So the grid is sized by the point-weighted occupancy
+// w = Σc²/n, the tile population the average point sees: starting from
+// the average-occupancy side, while w exceeds 1.5× the target the side
+// grows by sqrt(w/target), at most twice. The tile count is capped at 4n
+// (a point mass or a pile of duplicates cannot be split by any
+// resolution, and finer grids only add empty ring tiles) and the side at
+// maxSide. targetPerCell <= 0 selects diagramTargetPerCell.
+func newDiagramGrid(domain geom.Rect, pts []geom.Point, targetPerCell int) tileGrid {
+	if targetPerCell <= 0 {
+		targetPerCell = diagramTargetPerCell
 	}
-	if side > maxSide {
-		side = maxSide
+	target := float64(targetPerCell)
+	sideCap := int(math.Sqrt(4 * float64(len(pts))))
+	side := math.Sqrt(float64(len(pts)) / target)
+	g := squareGrid(domain, min(int(side), sideCap))
+	for range 2 {
+		w := pointOccupancy(g.histogram(pts))
+		if w <= 1.5*target {
+			break
+		}
+		side *= math.Sqrt(w / target)
+		g = squareGrid(domain, min(int(side), sideCap))
 	}
+	return g
+}
+
+// squareGrid tiles domain with side×side tiles, side clamped to
+// [1, maxSide].
+func squareGrid(domain geom.Rect, side int) tileGrid {
+	side = max(1, min(side, maxSide))
 	g := tileGrid{domain: domain, nx: side, ny: side}
 	g.cw = domain.Width() / float64(side)
 	g.ch = domain.Height() / float64(side)
@@ -58,6 +94,30 @@ func newTileGrid(domain geom.Rect, n, targetPerCell int) tileGrid {
 		g.ny, g.ch = 1, math.Max(domain.Height(), 1)
 	}
 	return g
+}
+
+// histogram counts the points of pts in each tile: the one occupancy
+// computation behind both diagram sizing and SkewEstimate.
+func (g tileGrid) histogram(pts []geom.Point) []int32 {
+	counts := make([]int32, g.tiles())
+	for i := range pts {
+		counts[g.tileOf(pts[i])]++
+	}
+	return counts
+}
+
+// pointOccupancy is Σc²/Σc over a tile histogram: the occupancy of the
+// tile the average point sits in (0 for an empty histogram).
+func pointOccupancy(counts []int32) float64 {
+	var n, ss float64
+	for _, c := range counts {
+		n += float64(c)
+		ss += float64(c) * float64(c)
+	}
+	if n == 0 {
+		return 0
+	}
+	return ss / n
 }
 
 // tiles returns the tile count.

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -116,6 +117,68 @@ func TestDuplicateAndCollinearPoints(t *testing.T) {
 	requireMatchesBrute(t, "dups+collinear", p, q, DefaultOptions())
 }
 
+// pointMass is one tight Gaussian (σ = 100) at the domain center, the
+// point-mass series of the cijbench grid crossover: virtually every point
+// shares a handful of average-sized tiles.
+func pointMass(n int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	c := dataset.Domain.Center()
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(
+			geom.Clamp(c.X+rng.NormFloat64()*100, dataset.Domain.MinX, dataset.Domain.MaxX),
+			geom.Clamp(c.Y+rng.NormFloat64()*100, dataset.Domain.MinY, dataset.Domain.MaxY))
+	}
+	return pts
+}
+
+// TestDiagramGridOccupancy gates the diagram-grid sizing on a
+// deterministic counter: the point-weighted occupancy Σc²/n of the chosen
+// grid stays within twice the target unless a cap (4n tiles, maxSide)
+// binds, and the tile count never exceeds 4n.
+func TestDiagramGridOccupancy(t *testing.T) {
+	const n = 8000
+	for _, tc := range []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"uniform", dataset.Uniform(n, 1)},
+		{"clustered", dataset.Clustered(n, 20, 2)},
+		{"pointmass", pointMass(n, 3)},
+	} {
+		g := newDiagramGrid(dataset.Domain, tc.pts, 0)
+		w := pointOccupancy(g.histogram(tc.pts))
+		capped := g.nx >= min(int(math.Sqrt(4*n)), maxSide)
+		t.Logf("%s: side %d, tiles %d, Σc²/n %.1f, capped %v", tc.name, g.nx, g.tiles(), w, capped)
+		if g.tiles() > 4*n {
+			t.Errorf("%s: %d tiles for %d points, cap is 4n", tc.name, g.tiles(), n)
+		}
+		if !capped && w > 2*diagramTargetPerCell {
+			t.Errorf("%s: Σc²/n = %.1f above 2×target %d with no cap binding", tc.name, w, diagramTargetPerCell)
+		}
+	}
+}
+
+// TestJoinMatchesBruteAtCaps runs inputs whose diagram grids hit the 4n
+// tile cap: a point mass, and a pile of exact duplicates that no
+// resolution can split.
+func TestJoinMatchesBruteAtCaps(t *testing.T) {
+	requireMatchesBrute(t, "pointmass", pointMass(600, 41), pointMass(600, 42), DefaultOptions())
+
+	pile := dataset.Uniform(100, 43)
+	for i := 0; i < 300; i++ {
+		pile = append(pile, geom.Pt(4321.5, 6789.25))
+	}
+	requireMatchesBrute(t, "duplicate pile", pile, dataset.Uniform(400, 44), DefaultOptions())
+	requireMatchesBrute(t, "duplicate pile as Q", dataset.Uniform(400, 44), pile, DefaultOptions())
+	for _, pts := range [][]geom.Point{pointMass(600, 41), pile} {
+		g := newDiagramGrid(dataset.Domain, pts, 0)
+		if want := int(math.Sqrt(4 * float64(len(pts)))); g.nx != want {
+			t.Errorf("%d points: diagram side %d, want the 4n cap %d", len(pts), g.nx, want)
+		}
+	}
+}
+
 func TestSkewEstimate(t *testing.T) {
 	uni := SkewEstimate(dataset.Uniform(20000, 9), dataset.Domain)
 	if uni > 1.5 {
@@ -133,6 +196,19 @@ func TestSkewEstimate(t *testing.T) {
 func BenchmarkGridJoinUniform(b *testing.B) {
 	p := dataset.Uniform(20000, 1)
 	q := dataset.Uniform(20000, 2)
+	opts := Options{} // count only
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Join(p, q, dataset.Domain, opts)
+	}
+}
+
+// BenchmarkGridJoinClustered is the live_churn join shape: a uniform side
+// against a 20-cluster side, where diagram sizing decides the cost.
+func BenchmarkGridJoinClustered(b *testing.B) {
+	p := dataset.Uniform(8000, 1)
+	q := dataset.Clustered(8000, 20, 2)
 	opts := Options{} // count only
 	b.ReportAllocs()
 	b.ResetTimer()

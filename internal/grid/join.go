@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"time"
 
 	"cij/internal/core"
@@ -12,10 +11,12 @@ import (
 
 // Options tunes a grid join.
 type Options struct {
-	// TargetPerCell is the average tile occupancy the grids are sized for;
-	// <= 0 selects the default (48). The result pair set is independent of
-	// this value — only the partitioning (and therefore the cost profile)
-	// changes, a property the test suite pins.
+	// TargetPerCell, when > 0, overrides the tile occupancy all three
+	// grids are sized for: the average occupancy of the joint grid
+	// (default 48) and the point-weighted occupancy of the two diagram
+	// grids (default 8, see newDiagramGrid). The result pair set is
+	// independent of this value — only the partitioning (and therefore
+	// the cost profile) changes, a property the test suite pins.
 	TargetPerCell int
 	// OnPair, when non-nil, streams every result pair as it is produced
 	// (in deterministic tile order on the calling goroutine).
@@ -24,10 +25,12 @@ type Options struct {
 	CollectPairs bool
 	// Trace, when non-nil, receives per-phase spans: "voronoi" (tagged
 	// "p"/"q") for the diagram builds, "replicate" for the PBSM tiling,
-	// one "tile" span per non-empty tile tagged "r,c" (folding into the
-	// per-phase overflow span past the trace's cap), and an aggregate
-	// "join" span. The backend performs no I/O, so spans carry only wall
-	// clock and the filter-quality counters. Nil costs nothing.
+	// one "tile" span carrying the summed wall and the Candidates/TrueHits
+	// of every tile with work on both sides, and an aggregate "join" span
+	// over the whole tile loop. The span count is fixed, so nothing folds
+	// into the trace's overflow spans. The backend performs no I/O, so
+	// spans carry only wall clock and the filter-quality counters. Nil
+	// costs nothing.
 	Trace *obs.Trace
 }
 
@@ -65,7 +68,7 @@ func Join(p, q []geom.Point, domain geom.Rect, opts Options) core.Result {
 	tr := opts.Trace
 	var ds diagramScratch
 	phaseStart := start
-	cellsP := buildDiagram(voronoi.MakeSites(p), newTileGrid(domain, len(p), opts.TargetPerCell), &ds)
+	cellsP := buildDiagram(voronoi.MakeSites(p), newDiagramGrid(domain, p, opts.TargetPerCell), &ds)
 	if tr.Enabled() {
 		// PCells rides the P span only, so the trace total matches
 		// Stats.PCellsComputed; the Q diagram reports plain item count.
@@ -73,7 +76,7 @@ func Join(p, q []geom.Point, domain geom.Rect, opts Options) core.Result {
 		tr.Add("voronoi", "p", now.Sub(phaseStart), obs.Counters{PCells: int64(len(p))})
 		phaseStart = now
 	}
-	cellsQ := buildDiagram(voronoi.MakeSites(q), newTileGrid(domain, len(q), opts.TargetPerCell), &ds)
+	cellsQ := buildDiagram(voronoi.MakeSites(q), newDiagramGrid(domain, q, opts.TargetPerCell), &ds)
 	if tr.Enabled() {
 		tr.Add("voronoi", "q", time.Since(phaseStart), obs.Counters{Items: int64(len(q))})
 	}
@@ -89,9 +92,9 @@ func Join(p, q []geom.Point, domain geom.Rect, opts Options) core.Result {
 	}
 	joinTiles(g, cellsP, cellsQ, repP, repQ, opts, &res)
 	if tr.Enabled() {
-		// Aggregate span over all tiles; its wall overlaps the per-tile
-		// spans (which carry the Candidates/TrueHits deltas), so it adds
-		// no counters beyond the tile count.
+		// Aggregate span over the tile loop; its wall overlaps the tile
+		// span (which carries the Candidates/TrueHits), so it adds no
+		// counters beyond the tile count.
 		tr.Add("join", "", time.Since(phaseStart), obs.Counters{Items: int64(g.tiles())})
 	}
 	res.Stats.JoinCPU = time.Since(joinStart)
@@ -148,19 +151,17 @@ func replicate(cells []cellInfo, g tileGrid) buckets {
 func joinTiles(g tileGrid, cellsP, cellsQ []cellInfo, repP, repQ buckets, opts Options, res *core.Result) {
 	tr := opts.Trace
 	var cl geom.Clipper
+	var tileWall time.Duration
+	var busyTiles int64
 	for t := 0; t < g.tiles(); t++ {
 		ps := repP.ids[repP.start[t]:repP.start[t+1]]
 		qs := repQ.ids[repQ.start[t]:repQ.start[t+1]]
 		if len(ps) == 0 || len(qs) == 0 {
 			continue
 		}
-		// Per-tile spans only for tiles with work on both sides; a fine
-		// grid folds the long tail into the (tile, other) overflow span.
 		var tileStart time.Time
-		var candBefore, hitsBefore int64
 		if tr.Enabled() {
 			tileStart = time.Now()
-			candBefore, hitsBefore = res.Stats.Candidates, res.Stats.TrueHits
 		}
 		tx, ty := t%g.nx, t/g.nx
 		for _, pi := range ps {
@@ -189,11 +190,15 @@ func joinTiles(g tileGrid, cellsP, cellsQ []cellInfo, repP, repQ buckets, opts O
 			}
 		}
 		if tr.Enabled() {
-			tr.Add("tile", fmt.Sprintf("%d,%d", ty, tx), time.Since(tileStart), obs.Counters{
-				Candidates: res.Stats.Candidates - candBefore,
-				TrueHits:   res.Stats.TrueHits - hitsBefore,
-				Items:      1,
-			})
+			tileWall += time.Since(tileStart)
+			busyTiles++
 		}
+	}
+	if tr.Enabled() {
+		tr.Add("tile", "", tileWall, obs.Counters{
+			Candidates: res.Stats.Candidates,
+			TrueHits:   res.Stats.TrueHits,
+			Items:      busyTiles,
+		})
 	}
 }

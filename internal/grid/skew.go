@@ -17,19 +17,17 @@ const skewTargetPerCell = 16
 // a Poisson process, where variance equals mean, so the estimate sits
 // near 1 regardless of cardinality; clustering concentrates points and
 // drives it up without bound. The query planner uses it to decide whether
-// a join is grid-friendly — uniform tiles keep the per-tile batches (and
-// the per-tile join loops) near the target occupancy, while heavy skew
-// piles thousands of points into single tiles and degrades the backend
-// toward its quadratic worst case.
+// a join is grid-friendly — the diagram grids refine until the average
+// point's tile is near the target occupancy, but only up to 4n tiles, so
+// heavy enough skew still piles hundreds of points into single tiles and
+// degrades the backend toward its quadratic worst case. It reads the
+// same tile histogram as the diagram sizing.
 func SkewEstimate(pts []geom.Point, domain geom.Rect) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
 	g := newTileGrid(domain, len(pts), skewTargetPerCell)
-	counts := make([]int32, g.tiles())
-	for i := range pts {
-		counts[g.tileOf(pts[i])]++
-	}
+	counts := g.histogram(pts)
 	mean := float64(len(pts)) / float64(len(counts))
 	var ss float64
 	for _, c := range counts {

@@ -25,17 +25,18 @@ const autoPointsPerWorker = 25_000
 // autoGridSkewMax is the density gate of the serial-range auto plan: a
 // join goes to the in-memory grid backend only when BOTH datasets'
 // Poisson-normalized skew estimates (grid.SkewEstimate, ~1 for uniform
-// data, computed once at ingest) stay below this bound. Above it the
-// uniform tiling degenerates — single tiles hold thousands of points and
-// the per-tile loops go quadratic — so extremely skewed serial joins
-// route to NM-CIJ, whose R-tree adapts to density. The bound is
-// measurement-anchored (the cijbench -exp grid crossover table): ordinary
-// clustered data (skew 10–20) beats NM on wall clock by 2–17×, while in
-// the point-mass series the advantage collapses (skew ≈ 45: only
-// 1.2–1.7×) and inverts at the largest size (skew ≈ 103: 0.72×, and
-// worsening with n as the hot tiles go quadratic). The gate sits below
-// the collapse, conservatively trading a mild win in the 33–45 band for
-// never landing in the inverted regime.
+// data, computed once at ingest) stay below this bound. The grid sizes
+// its diagram tiles by the occupancy points actually see, but caps the
+// tile count at 4n, so beyond some density contrast the hot tiles still
+// go quadratic; extremely skewed serial joins route to NM-CIJ, whose
+// R-tree adapts to density without a cap. The bound is
+// measurement-anchored (the cijbench -exp grid crossover table, scale
+// 0.2, two runs on a 2-CPU host): ordinary clustered data (skew 11–16)
+// beats NM on wall clock by 3–33×, while in the point-mass series the
+// advantage shrinks to 1.1–1.4× (skew ≈ 45, 2K–8K points) and inverts
+// at the largest size (skew ≈ 103: 0.87–0.91×). The gate sits below the
+// point-mass band, trading a mild win at skew 33–45 for never landing
+// in the inverted regime.
 const autoGridSkewMax = 32
 
 // Plan is a resolved execution strategy for one join query.
