@@ -28,7 +28,7 @@ METRICS_RUN = TestTrace|TestMetrics|TestStreamTrace|TestExplainDoesNotExecute|Te
 JOURNAL_RUN = TestJournal|TestDebugQueries|TestStatsHistory|TestExplainObserved|TestChromeTrace|TestRuntimeCollector|TestRingWraparound|TestWindow|TestStartStop
 MUTATE_RUN = TestMutate|TestSubscribeChurn|TestCacheInvalidationExactNames|TestInstrumentPanicRecovery
 PROP_RUN = TestEquivalenceSeeds|TestInvariantSeeds|TestGeneratorShape|TestFlatPagedEquivalence|TestFlatStatsEquivalenceParallel|TestPlanSelection|TestIngestComputesSkew|TestConcurrentAutoAndGridJoins|TestDeltaSeeds|TestMutateSnapshotIsolationRace
-CRASH_RUN = TestCrashMatrix|TestDurable|TestCheckpoint|TestWAL|TestFaultFS|TestPageFile|TestFsck|TestOpen|FuzzWALRecover
+CRASH_RUN = TestCrashMatrix|TestDurable|TestCheckpoint|TestWAL|TestFaultFS|TestPageFile|TestFsck|TestOpen|FuzzWALRecover|FuzzPageFileRestore
 PAGES_RUN = TestFig7PagesMatchBaseline|TestFlatModeZeroPages
 CPU_RUN = TestPlanSelection|TestFlatStatsEquivalenceParallel
 
@@ -100,8 +100,8 @@ bench-smoke:
 # (6279/9788/12810), and that
 # flat-storage NM emits the byte-identical pair sequence with zero page
 # accesses. The paper's I/O metric must never move under CPU-side
-# optimization (decode caching, pooling, flat arenas, geometric fast
-# paths); CI fails the build if it does.
+# optimization (pooling, flat arenas, geometric fast paths); CI fails the
+# build if it does.
 pages-guard:
 	$(GO) test -run '$(PAGES_RUN)' -count 1 .
 
@@ -138,7 +138,8 @@ smoke-server:
 	./scripts/smoke_server.sh
 
 # Durability smoke: the in-process crash matrix (every fault point × every
-# crash mode, under the race detector) plus the out-of-process one — start
+# crash mode, under the race detector), the WAL and page-file restore fuzz
+# targets' seed corpora, plus the out-of-process one — start
 # cijserver -data-dir, kill -9 it mid-mutation-stream, fsck, restart, and
 # assert the recovered join matches the in-memory grid oracle and the
 # SIGTERM cycle round-trips the clean-shutdown marker. Part of `make

@@ -20,16 +20,16 @@
 // regenerating every table and figure of the paper plus a parallel
 // scalability experiment (internal/exp, driven by cmd/cijbench).
 //
-// Trees read their nodes through one of three storage modes: paged (the
-// paper's byte format behind the LRU buffer — every access is page I/O),
-// decode-cached (the same pages, with decoded nodes riding buffer
-// residency), and flat (an immutable in-memory arena built by
-// rtree.Tree.Freeze or rtree.FlatBulkLoadPoints — no pages, no decode,
-// structurally zero I/O). All three emit the byte-identical pair
-// sequence; they differ only in cost profile, and the query service's
-// planner picks flat automatically for its in-memory datasets (README
-// "Execution backends" documents the selection rules and the storage
-// knob).
+// Trees read their nodes through one of two storage modes: paged (the
+// paper's byte format behind the LRU buffer — every access is a node
+// access, a buffer miss is page I/O, and every access parses its page)
+// and flat (an immutable in-memory arena built by rtree.Tree.Freeze or
+// rtree.FlatBulkLoadPoints — no pages, no decode, structurally zero I/O).
+// Both emit the byte-identical pair sequence; they differ only in cost
+// profile. Paged reproduces the paper's I/O counts, flat is the one path
+// tuned for in-memory speed, and the query service's planner picks flat
+// automatically for its in-memory datasets (README "Execution backends"
+// documents the selection rules and the storage knob).
 //
 // The benchmarks in bench_test.go exercise one paper artifact each at
 // reduced scale — including the parallel speedup curve — and cmd/cijbench

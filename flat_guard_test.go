@@ -42,8 +42,8 @@ func TestFlatModeZeroPages(t *testing.T) {
 	if pages := flatIO.PageAccesses(); pages != 0 {
 		t.Errorf("flat join performed %d page accesses, want 0", pages)
 	}
-	if flatIO.DecodeMisses != 0 {
-		t.Errorf("flat join reported %d decode misses, want 0", flatIO.DecodeMisses)
+	if pagedIO.DecodeHits != 0 {
+		t.Errorf("paged join reported %d decode hits, want 0 (paged reads always parse)", pagedIO.DecodeHits)
 	}
 	if flatIO.DecodeHits != flatIO.LogicalReads {
 		t.Errorf("flat join: %d decode hits vs %d logical reads, want equal (every read decode-free)",

@@ -43,8 +43,8 @@ func TestFlatPagedEquivalence(t *testing.T) {
 			if flatIO.PageAccesses() != 0 {
 				t.Errorf("flat run performed %d page accesses, want 0", flatIO.PageAccesses())
 			}
-			if flatIO.DecodeMisses != 0 {
-				t.Errorf("flat run counted %d decode misses, want 0", flatIO.DecodeMisses)
+			if pagedIO.DecodeHits != 0 {
+				t.Errorf("paged run counted %d decode hits, want 0 (paged reads always parse)", pagedIO.DecodeHits)
 			}
 			if flatIO.DecodeHits != flatIO.LogicalReads {
 				t.Errorf("flat DecodeHits %d != LogicalReads %d (every flat read is decode-free)",
@@ -82,7 +82,7 @@ func TestFlatStatsEquivalenceParallel(t *testing.T) {
 					len(flat.Pairs), len(paged.Pairs))
 			}
 			flatIO := flat.Stats.Mat.Add(flat.Stats.Join)
-			if flatIO.PageAccesses() != 0 || flatIO.DecodeMisses != 0 {
+			if flatIO.PageAccesses() != 0 {
 				t.Errorf("flat parallel run moved page counters: %+v", flatIO)
 			}
 		})

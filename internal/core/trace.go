@@ -17,7 +17,6 @@ func IOCounters(d storage.Stats) obs.Counters {
 		PagesRead:    d.PageReads,
 		PagesWritten: d.PageWrites,
 		DecodeHits:   d.DecodeHits,
-		DecodeMisses: d.DecodeMisses,
 	}
 }
 

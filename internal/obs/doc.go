@@ -29,7 +29,7 @@
 // (phase, tag), so a thousand-batch NM-CIJ run yields a handful of spans
 // (traverse, voronoi, filter, refine, join), and a parallel run yields
 // the same set once per worker tag. Counters carry the storage.Stats
-// vocabulary (logical reads, pages read/written, decode hits/misses)
+// vocabulary (logical reads, pages read/written, decode hits)
 // plus the filter-quality counters, so the per-phase deltas of a traced
 // join sum exactly to the run's aggregate Stats — the accounting
 // invariance the service tests pin.

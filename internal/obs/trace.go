@@ -15,7 +15,6 @@ type Counters struct {
 	PagesRead    int64 `json:"pages_read,omitempty"`
 	PagesWritten int64 `json:"pages_written,omitempty"`
 	DecodeHits   int64 `json:"decode_hits,omitempty"`
-	DecodeMisses int64 `json:"decode_misses,omitempty"`
 	Candidates   int64 `json:"candidates,omitempty"`
 	TrueHits     int64 `json:"true_hits,omitempty"`
 	PCells       int64 `json:"p_cells,omitempty"`
@@ -29,7 +28,6 @@ func (c Counters) Add(o Counters) Counters {
 		PagesRead:    c.PagesRead + o.PagesRead,
 		PagesWritten: c.PagesWritten + o.PagesWritten,
 		DecodeHits:   c.DecodeHits + o.DecodeHits,
-		DecodeMisses: c.DecodeMisses + o.DecodeMisses,
 		Candidates:   c.Candidates + o.Candidates,
 		TrueHits:     c.TrueHits + o.TrueHits,
 		PCells:       c.PCells + o.PCells,

@@ -87,7 +87,6 @@ func spanArgs(sp Span) map[string]any {
 	add("pages_read", sp.PagesRead)
 	add("pages_written", sp.PagesWritten)
 	add("decode_hits", sp.DecodeHits)
-	add("decode_misses", sp.DecodeMisses)
 	add("candidates", sp.Candidates)
 	add("true_hits", sp.TrueHits)
 	add("p_cells", sp.PCells)

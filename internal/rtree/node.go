@@ -136,13 +136,12 @@ func decodeNode(buf []byte, kind Kind) *Node {
 
 // decodeNodeInto parses a page into n, reusing n's entry slice (and, for
 // polygon leaves, the per-slot vertex slices) when their capacity
-// suffices. It is the scratch-decode path of buffer-less trees: a Tree
-// reading through a capacity-0 buffer decodes every access into one
-// reused node, so the Fig. 5 experiments stay allocation-lean without any
-// caching. Entries beyond the new count keep their backing arrays but are
-// zeroed-by-overwrite on the next reuse only as far as the then-current
-// count, which is fine because Node consumers never look past
-// len(Entries).
+// suffices. It is the scratch-decode path of paged ReadNode: a Tree
+// handle decodes every hot-path access into one reused node, so the read
+// path allocates nothing at any buffer capacity. Entries beyond the new
+// count keep their backing arrays but are zeroed-by-overwrite on the next
+// reuse only as far as the then-current count, which is fine because Node
+// consumers never look past len(Entries).
 func decodeNodeInto(n *Node, buf []byte, kind Kind) *Node {
 	n.Leaf = buf[1] == 1
 	count := int(binary.LittleEndian.Uint16(buf[2:4]))
@@ -227,4 +226,52 @@ func putFloat(buf []byte, off int, f float64) int {
 
 func getFloat(buf []byte, off int) (float64, int) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])), off + 8
+}
+
+// validatePage checks that a raw page decodes safely as a node of a tree
+// of the given kind on a disk of numPages pages: a known kind byte and
+// leaf flag, entries that fit the page, and child ids on the disk. It
+// guards restore (CheckInvariants over pages read back from a file), not
+// the read path: pages the tree wrote itself are valid by construction.
+func validatePage(buf []byte, kind Kind, numPages int) error {
+	if len(buf) < headerSize {
+		return fmt.Errorf("page of %d bytes is shorter than the %d-byte header", len(buf), headerSize)
+	}
+	if Kind(buf[0]) != kind {
+		return fmt.Errorf("page kind %d, tree kind %d", buf[0], kind)
+	}
+	if buf[1] > 1 {
+		return fmt.Errorf("leaf flag %d", buf[1])
+	}
+	leaf := buf[1] == 1
+	count := int(binary.LittleEndian.Uint16(buf[2:4]))
+	switch {
+	case !leaf:
+		if headerSize+count*internalEntrySize > len(buf) {
+			return fmt.Errorf("%d internal entries overflow a %d-byte page", count, len(buf))
+		}
+		for i := 0; i < count; i++ {
+			off := headerSize + i*internalEntrySize + 4*8
+			if child := int64(binary.LittleEndian.Uint64(buf[off:])); child < 0 || child >= int64(numPages) {
+				return fmt.Errorf("entry %d: child page %d outside disk of %d pages", i, child, numPages)
+			}
+		}
+	case kind == KindPoints:
+		if headerSize+count*pointEntrySize > len(buf) {
+			return fmt.Errorf("%d point entries overflow a %d-byte page", count, len(buf))
+		}
+	default:
+		off := headerSize
+		for i := 0; i < count; i++ {
+			if off+polyEntryFixed > len(buf) {
+				return fmt.Errorf("polygon entry %d overflows a %d-byte page", i, len(buf))
+			}
+			nv := int(binary.LittleEndian.Uint16(buf[off+8:]))
+			off += polyEntryFixed + nv*vertexSize
+			if off > len(buf) {
+				return fmt.Errorf("polygon entry %d (%d vertices) overflows a %d-byte page", i, nv, len(buf))
+			}
+		}
+	}
+	return nil
 }

@@ -29,6 +29,12 @@ func (t *Tree) Meta() Meta {
 // equivalent to the one the pages were written by — same capacities, same
 // page layout, mutable via CloneMut like any other.
 func Open(buf *storage.Buffer, meta Meta) (*Tree, error) {
+	if meta.Kind != KindPoints && meta.Kind != KindPolygons {
+		return nil, fmt.Errorf("rtree: unknown tree kind %d", meta.Kind)
+	}
+	if ps := buf.Disk().PageSize(); MaxInternalEntries(ps) < 2 || MaxPointEntries(ps) < 2 {
+		return nil, fmt.Errorf("rtree: page size %d too small", ps)
+	}
 	t := New(buf, meta.Kind)
 	if meta.Root != storage.InvalidPage {
 		if meta.Root < 0 || int(meta.Root) >= buf.Disk().NumPages() {

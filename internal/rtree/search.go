@@ -128,9 +128,8 @@ func (t *Tree) KNN(anchor geom.Point, k int, accept func(Entry) bool) []Entry {
 // batch-computed Voronoi cells arrive in good packing order and buffer
 // locality is high.
 //
-// The leaf handed to visit is shared and read-only (it may be the
-// buffer's cached decoded node); callbacks copy what they keep, as
-// voronoi.AppendSites does.
+// The leaf handed to visit is shared and read-only (a flat tree's arena
+// node); callbacks copy what they keep, as voronoi.AppendSites does.
 func (t *Tree) VisitLeavesHilbert(domain geom.Rect, visit func(leaf *Node)) {
 	if t.root == storage.InvalidPage {
 		return

@@ -13,20 +13,18 @@ import (
 // Node reads come in three forms with one shared rule — nodes returned by
 // the read methods are SHARED and READ-ONLY unless stated otherwise:
 //
-//   - ReadNode: the hot-path read. Served from the buffer's decoded-node
-//     cache when the page is resident; on a capacity-0 (buffer-less)
-//     buffer it decodes into a per-handle scratch node, so the result is
-//     only valid until the next read through the same handle.
+//   - ReadNode: the hot-path read. A paged tree parses the page into a
+//     per-handle scratch node, so the result is only valid until the next
+//     read through the same handle.
 //   - ReadNodeStable: like ReadNode but never scratch-backed — the result
 //     stays valid indefinitely. For callers that hold a node across
 //     further reads (synchronous-traversal joins, DFS walks).
 //   - ReadNodeMut: a private, freshly decoded copy the caller may mutate.
-//     Mutation paths (insert/delete) use it; the shared cache never sees
-//     nodes that anyone writes to.
+//     Mutation paths (insert/delete) use it.
 //
-// Decoded-node caching is what makes repeat accesses to buffer-resident
-// pages decode-free; coherence is the buffer's job (eviction and Write
-// drop a page's decoded slot), so a cached node can never be stale.
+// Paged trees parse on every access: the buffer caches page bytes only,
+// so a read can never be stale. Flat trees (flat.go) are the decode-free
+// read path: every read is an arena lookup, stable by construction.
 type Tree struct {
 	buf    *storage.Buffer
 	kind   Kind
@@ -38,9 +36,9 @@ type Tree struct {
 	maxPoints   int
 	minFill     int
 
-	// scratch is the reused decode target of capacity-0 reads; one per
-	// handle (WithBuffer views get their own), so handles never clobber
-	// each other's in-flight node.
+	// scratch is the reused decode target of paged ReadNode calls; one
+	// per handle (WithBuffer views get their own), so handles never
+	// clobber each other's in-flight node.
 	scratch *Node
 
 	// flat, when non-nil, marks an arena-resident tree (see flat.go):
@@ -91,9 +89,8 @@ func (t *Tree) WithBuffer(buf *storage.Buffer) *Tree {
 	}
 	view := *t
 	view.buf = buf
-	// Each view decodes into its own scratch and caches into its own
-	// buffer's decoded slots: views share immutable pages, never decode
-	// state.
+	// Each view decodes into its own scratch: views share immutable
+	// pages, never decode state.
 	view.scratch = &Node{}
 	return &view
 }
@@ -135,15 +132,10 @@ func (t *Tree) countPages(id storage.PageID, level int) int {
 }
 
 // ReadNode fetches the node stored at id, counting one node access in the
-// buffer statistics exactly like a plain page read. When the page is
-// buffer-resident and carries a decoded node, that node is returned
-// without re-parsing (a decode hit). A resident page read without a
-// decoded node (second touch) is decoded once into a fresh node that is
-// attached to the page for subsequent reads. A physical miss — and every
-// read on a capacity-0, buffer-less tree — decodes into the handle's
-// reused scratch node: pages that are never re-read while resident never
-// pay a heap decode, which keeps the paper's tiny-buffer experiments
-// allocation-lean without inflating their accounting.
+// buffer statistics exactly like a plain page read. A flat tree returns
+// its arena node; a paged tree parses the page bytes into the handle's
+// reused scratch node, so the hot read path allocates nothing at any
+// buffer capacity.
 //
 // The returned node is shared and read-only, and — because of the
 // scratch — guaranteed valid only until the next read through the same
@@ -151,51 +143,30 @@ func (t *Tree) countPages(id storage.PageID, level int) int {
 // ReadNodeStable; callers that mutate must use ReadNodeMut.
 func (t *Tree) ReadNode(id storage.PageID) *Node {
 	// Flat trees serve reads straight from the node arena: an index plus
-	// two ledger increments, nothing decoded, nothing cached. Arena nodes
-	// are immutable, so the result is stable despite coming from the hot
-	// read path.
+	// two ledger increments, nothing decoded. Arena nodes are immutable,
+	// so the result is stable despite coming from the hot read path.
 	if f := t.flat; f != nil {
 		t.buf.NoteFlatRead()
 		return &f.nodes[id]
 	}
-	data, dec, resident := t.buf.ReadDecoded(id)
-	if dec != nil {
-		return dec.(*Node)
-	}
-	if !resident || t.buf.Capacity() == 0 {
-		return decodeNodeInto(t.scratch, data, t.kind)
-	}
-	n := decodeNode(data, t.kind)
-	t.buf.SetDecoded(id, n)
-	return n
+	return decodeNodeInto(t.scratch, t.buf.Read(id), t.kind)
 }
 
 // ReadNodeStable is ReadNode without the scratch reuse: the returned node
-// is shared and read-only but remains valid indefinitely (a decoded node
-// is immutable; mutations replace, never modify, cached nodes).
-// Traversals that hold a parent node while reading its children read
-// through this method. It installs the decode on first touch — stable
-// callers (DFS walks, synchronous joins) revisit upper levels reliably.
+// is shared and read-only but remains valid indefinitely — a flat tree's
+// arena node, or a paged tree's freshly decoded one. Traversals that hold
+// a parent node while reading its children read through this method.
 func (t *Tree) ReadNodeStable(id storage.PageID) *Node {
 	if f := t.flat; f != nil {
 		t.buf.NoteFlatRead()
 		return &f.nodes[id]
 	}
-	data, dec, _ := t.buf.ReadDecoded(id)
-	if dec != nil {
-		return dec.(*Node)
-	}
-	n := decodeNode(data, t.kind)
-	t.buf.SetDecoded(id, n)
-	return n
+	return decodeNode(t.buf.Read(id), t.kind)
 }
 
 // ReadNodeMut fetches a private, freshly decoded copy of the node that
-// the caller may mutate. It bypasses the decoded-node cache in both
-// directions: it never returns a shared node and never installs one, so
-// insert/delete/split can edit entry slices freely. Coherence with
-// readers is re-established by the writeNode that follows every mutation
-// (Buffer.Write clears the page's decoded slot).
+// the caller may mutate, so insert/delete/split can edit entry slices
+// freely.
 func (t *Tree) ReadNodeMut(id storage.PageID) *Node {
 	if t.flat != nil {
 		panic("rtree: flat trees are immutable")
@@ -273,8 +244,11 @@ func (t *Tree) leafFits(entries []Entry, extra *Entry) bool {
 
 // CheckInvariants validates the structural invariants of the tree: every
 // internal entry's MBR equals the MBR of its child node, all leaves are at
-// the same depth, and node occupancy respects capacities. It is exported
-// for tests and returns a descriptive error.
+// the same depth, every page is reached exactly once, and node occupancy
+// respects capacities. A paged tree also validates each raw page before
+// decoding it, so a malformed page (say, one restored from a file) is an
+// error, never a panic. It is exported for tests and restore, and returns
+// a descriptive error.
 func (t *Tree) CheckInvariants() error {
 	if t.root == storage.InvalidPage {
 		if t.size != 0 {
@@ -282,7 +256,7 @@ func (t *Tree) CheckInvariants() error {
 		}
 		return nil
 	}
-	count, err := t.checkNode(t.root, t.height)
+	count, _, err := t.checkNode(t.root, t.height, make(map[storage.PageID]bool))
 	if err != nil {
 		return err
 	}
@@ -292,41 +266,68 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func (t *Tree) checkNode(id storage.PageID, level int) (int, error) {
-	n := t.readNodeQuiet(id)
+// checkNode validates the subtree rooted at id and returns its object
+// count and MBR. seen holds the pages already visited: a page reached
+// twice is a shared or cyclic child pointer, which also bounds the walk by
+// the disk's page count whatever the claimed height.
+func (t *Tree) checkNode(id storage.PageID, level int, seen map[storage.PageID]bool) (int, geom.Rect, error) {
+	var none geom.Rect
+	if seen[id] {
+		return 0, none, fmt.Errorf("page %d: reached twice (shared or cyclic child pointer)", id)
+	}
+	seen[id] = true
+	n, err := t.readNodeChecked(id)
+	if err != nil {
+		return 0, none, fmt.Errorf("page %d: %w", id, err)
+	}
 	if level == 1 != n.Leaf {
-		return 0, fmt.Errorf("page %d: leaf flag %v at level %d (height %d)", id, n.Leaf, level, t.height)
+		return 0, none, fmt.Errorf("page %d: leaf flag %v at level %d (height %d)", id, n.Leaf, level, t.height)
 	}
 	if len(n.Entries) == 0 {
-		return 0, fmt.Errorf("page %d: empty node", id)
+		return 0, none, fmt.Errorf("page %d: empty node", id)
 	}
 	if n.Leaf {
 		if t.kind == KindPoints && len(n.Entries) > t.maxPoints {
-			return 0, fmt.Errorf("page %d: leaf overflow %d > %d", id, len(n.Entries), t.maxPoints)
+			return 0, none, fmt.Errorf("page %d: leaf overflow %d > %d", id, len(n.Entries), t.maxPoints)
 		}
 		if !t.leafFits(n.Entries, nil) {
-			return 0, fmt.Errorf("page %d: leaf byte overflow", id)
+			return 0, none, fmt.Errorf("page %d: leaf byte overflow", id)
 		}
-		return len(n.Entries), nil
+		return len(n.Entries), n.MBR(), nil
 	}
 	if len(n.Entries) > t.maxInternal {
-		return 0, fmt.Errorf("page %d: internal overflow %d > %d", id, len(n.Entries), t.maxInternal)
+		return 0, none, fmt.Errorf("page %d: internal overflow %d > %d", id, len(n.Entries), t.maxInternal)
 	}
 	total := 0
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		child := t.readNodeQuiet(e.Child)
-		cm := child.MBR()
-		if !rectAlmostEqual(cm, e.MBR) {
-			return 0, fmt.Errorf("page %d entry %d: MBR %v != child MBR %v", id, i, e.MBR, cm)
-		}
-		c, err := t.checkNode(e.Child, level-1)
+		c, cm, err := t.checkNode(e.Child, level-1, seen)
 		if err != nil {
-			return 0, err
+			return 0, none, err
+		}
+		if !rectAlmostEqual(cm, e.MBR) {
+			return 0, none, fmt.Errorf("page %d entry %d: MBR %v != child MBR %v", id, i, e.MBR, cm)
 		}
 		total += c
 	}
-	return total, nil
+	return total, n.MBR(), nil
+}
+
+// readNodeChecked is readNodeQuiet for CheckInvariants: on a paged tree
+// it validates the raw page before decoding it, so a malformed page is
+// reported instead of panicking the decoder. The check stays off the
+// ReadNode hot path.
+func (t *Tree) readNodeChecked(id storage.PageID) (*Node, error) {
+	if t.flat != nil {
+		return t.readNodeQuiet(id), nil
+	}
+	snapshot := t.buf.Stats()
+	defer t.buf.RestoreStats(snapshot)
+	data := t.buf.Read(id)
+	if err := validatePage(data, t.kind, t.buf.Disk().NumPages()); err != nil {
+		return nil, err
+	}
+	return decodeNode(data, t.kind), nil
 }
 
 func rectAlmostEqual(a, b geom.Rect) bool {

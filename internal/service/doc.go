@@ -100,9 +100,10 @@
 // metrics.go registers the service's metric families on an internal/obs
 // registry: per-route request counters and latency histograms, per-algo
 // join counters and latency histograms, planner decisions, the I/O
-// counter families (pages read/written, logical reads, decode hits and
-// misses, buffer evictions via storage.Buffer.SetOnEvict on per-request
-// views), admission-queue wait/depth, and func-backed cache/registry
+// counter families (pages read/written, logical reads, decode hits — the
+// decode-free arena reads of flat joins — and buffer evictions via
+// storage.Buffer.SetOnEvict on per-request views), admission-queue
+// wait/depth, and func-backed cache/registry
 // gauges. The I/O families are fed from the same storage.Stats aggregate
 // the response reports, so /metrics deltas reconcile with per-query stats
 // exactly. The registry is the only counter store: GET /stats sums its

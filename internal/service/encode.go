@@ -24,13 +24,12 @@ type JoinStatsJSON struct {
 	// cache).
 	PageAccesses int64 `json:"page_accesses"`
 	// The I/O breakdown behind PageAccesses: physical reads and writes,
-	// node accesses (buffer hits included), and the decoded-node cache's
-	// hit/miss split. Omitted when zero (grid runs, cache hits).
+	// node accesses (buffer hits included), and the decode-free arena
+	// reads of flat storage. Omitted when zero (grid runs, cache hits).
 	PagesRead    int64 `json:"pages_read,omitempty"`
 	PagesWritten int64 `json:"pages_written,omitempty"`
 	LogicalReads int64 `json:"logical_reads,omitempty"`
 	DecodeHits   int64 `json:"decode_hits,omitempty"`
-	DecodeMisses int64 `json:"decode_misses,omitempty"`
 	// WallMS is the wall-clock time of the computation in milliseconds
 	// (the original run's when served from cache).
 	WallMS float64 `json:"wall_ms"`
@@ -44,7 +43,6 @@ func statsFromIO(io storage.Stats, wall time.Duration) JoinStatsJSON {
 		PagesWritten: io.PageWrites,
 		LogicalReads: io.LogicalReads,
 		DecodeHits:   io.DecodeHits,
-		DecodeMisses: io.DecodeMisses,
 		WallMS:       float64(wall) / float64(time.Millisecond),
 	}
 }
@@ -384,8 +382,8 @@ type StatsResponse struct {
 	// decode-free runs whose page I/O is structurally zero.
 	JoinsFlat    int64 `json:"joins_flat"`
 	PageAccesses int64 `json:"page_accesses"`
-	// DecodeHits sums the decoded-node cache hits of computed joins: node
-	// accesses that skipped page re-parsing (CPU saved, I/O untouched).
+	// DecodeHits sums the decode-free node accesses of computed joins:
+	// the arena reads of flat-storage runs (paged runs parse every node).
 	DecodeHits   int64 `json:"decode_hits"`
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`

@@ -17,7 +17,7 @@ import (
 // corpus the ROADMAP's fitted cost model trains from: each line pairs
 // what the planner believed (cardinalities, skew, chosen algo/storage/
 // workers, narrated reason) with what actually happened (wall time,
-// pages, logical reads, decode hits/misses, pairs emitted).
+// pages, logical reads, decode hits, pairs emitted).
 
 // DefaultJournalEntries is the ring capacity when the configuration
 // leaves it zero; DefaultJournalSlowest the retained-trace count.

@@ -146,7 +146,6 @@ func TestJournalStatsReconcile(t *testing.T) {
 		"cij_pages_written_total": rec.Stats.PagesWritten,
 		"cij_logical_reads_total": rec.Stats.LogicalReads,
 		"cij_decode_hits_total":   rec.Stats.DecodeHits,
-		"cij_decode_misses_total": rec.Stats.DecodeMisses,
 		"cij_cache_misses_total":  1,
 		"cij_cache_hits_total":    0,
 	} {

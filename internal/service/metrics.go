@@ -32,9 +32,7 @@ type serviceMetrics struct {
 	logicalReads   *obs.Counter
 	pagesRead      *obs.Counter
 	pagesWritten   *obs.Counter
-	decodeHits     *obs.Counter
-	decodeMisses   *obs.Counter
-	flatReads      *obs.Counter // cij_flat_reads_total
+	decodeHits     *obs.Counter // cij_decode_hits_total
 	evictions      *obs.Counter
 
 	admissionWait    *obs.Histogram // cij_admission_wait_seconds
@@ -92,11 +90,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		pagesWritten: reg.Counter("cij_pages_written_total",
 			"Physical page writes summed over computed joins."),
 		decodeHits: reg.Counter("cij_decode_hits_total",
-			"Decoded-node cache hits summed over computed joins."),
-		decodeMisses: reg.Counter("cij_decode_misses_total",
-			"Decoded-node cache misses summed over computed joins."),
-		flatReads: reg.Counter("cij_flat_reads_total",
-			"Arena node accesses of flat-storage joins (decode-free reads; never counted as page I/O)."),
+			"Decode-free node accesses summed over computed joins: the arena reads of flat storage (never page I/O)."),
 		evictions: reg.Counter("cij_buffer_evictions_total",
 			"Pages evicted from per-request LRU buffer views (worker forks included)."),
 		admissionWait: reg.Histogram("cij_admission_wait_seconds",
@@ -167,24 +161,20 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 // recordJoinIO folds one computed join's I/O aggregate into the exported
 // counters — the same storage.Stats the response reports, so the /metrics
 // deltas reconcile with per-query stats exactly. A flat-storage run's
-// node accesses additionally feed cij_flat_reads_total; its page and
-// decode-miss counters are structurally zero, so the shared families stay
-// truthful in both modes.
-func (m *serviceMetrics) recordJoinIO(io storage.Stats, storageMode string) {
+// node accesses are all decode hits and its page counters are
+// structurally zero; a paged run has no decode hits, so the shared
+// families stay truthful in both modes.
+func (m *serviceMetrics) recordJoinIO(io storage.Stats) {
 	m.logicalReads.Add(io.LogicalReads)
 	m.pagesRead.Add(io.PageReads)
 	m.pagesWritten.Add(io.PageWrites)
 	m.decodeHits.Add(io.DecodeHits)
-	m.decodeMisses.Add(io.DecodeMisses)
-	if storageMode == "flat" {
-		m.flatReads.Add(io.LogicalReads)
-	}
 }
 
 // onEvict is the buffer eviction hook installed on per-request views and
 // scratch environments. Worker forks inherit it (storage.Buffer.Fork), so
 // it runs concurrently; obs.Counter is atomic.
-func (m *serviceMetrics) onEvict(storage.PageID, any) { m.evictions.Inc() }
+func (m *serviceMetrics) onEvict(storage.PageID) { m.evictions.Inc() }
 
 // statusWriter captures the response status for request metrics/logs. It
 // forwards Flush so the NDJSON stream handler's progressive writes keep

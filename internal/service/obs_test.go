@@ -87,8 +87,7 @@ func TestTraceSumsToResponseStats(t *testing.T) {
 		if total.PagesRead != jr.Stats.PagesRead ||
 			total.PagesWritten != jr.Stats.PagesWritten ||
 			total.LogicalReads != jr.Stats.LogicalReads ||
-			total.DecodeHits != jr.Stats.DecodeHits ||
-			total.DecodeMisses != jr.Stats.DecodeMisses {
+			total.DecodeHits != jr.Stats.DecodeHits {
 			t.Fatalf("%s: trace totals %+v do not reconcile with response stats %+v", algo, total, jr.Stats)
 		}
 		if algo == "grid" && jr.Stats.PageAccesses != 0 {
@@ -102,8 +101,7 @@ func TestTraceSumsToResponseStats(t *testing.T) {
 
 // TestTraceSumsToResponseStatsFlat is the flat-storage companion: the
 // trace spans still partition the run's aggregate exactly, but the run is
-// decode-free — zero page accesses, zero decode misses, every node access
-// a decode hit.
+// decode-free — zero page accesses, every node access a decode hit.
 func TestTraceSumsToResponseStatsFlat(t *testing.T) {
 	p, q := dataset.Uniform(800, 101), dataset.Clustered(800, 8, 102)
 	_, ts := newTestServer(t, service.Config{CacheEntries: -1}, p, q)
@@ -120,7 +118,7 @@ func TestTraceSumsToResponseStatsFlat(t *testing.T) {
 		if total.LogicalReads != jr.Stats.LogicalReads || total.DecodeHits != jr.Stats.DecodeHits {
 			t.Fatalf("%s: trace totals %+v do not reconcile with response stats %+v", algo, total, jr.Stats)
 		}
-		if jr.Stats.PageAccesses != 0 || jr.Stats.DecodeMisses != 0 {
+		if jr.Stats.PageAccesses != 0 {
 			t.Fatalf("%s flat run reported page I/O: %+v", algo, jr.Stats)
 		}
 		if jr.Stats.LogicalReads == 0 || jr.Stats.DecodeHits != jr.Stats.LogicalReads {
@@ -229,9 +227,6 @@ func TestMetricsMatchJoinStats(t *testing.T) {
 	if got := delta(`cij_decode_hits_total`); got != jr.Stats.DecodeHits {
 		t.Fatalf("cij_decode_hits_total moved %d, response says %d", got, jr.Stats.DecodeHits)
 	}
-	if got := delta(`cij_decode_misses_total`); got != jr.Stats.DecodeMisses {
-		t.Fatalf("cij_decode_misses_total moved %d, response says %d", got, jr.Stats.DecodeMisses)
-	}
 	if got := delta(`cij_joins_total{algo="nm",source="computed"}`); got != 1 {
 		t.Fatalf("computed-join counter moved %d, want 1", got)
 	}
@@ -265,7 +260,7 @@ func TestMetricsMatchJoinStats(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchFlatJoin: a flat-storage join moves the flat-read and
+// TestMetricsMatchFlatJoin: a flat-storage join moves the decode-hit and
 // planner-storage families, keeps every page family still, and its
 // /metrics deltas reconcile with the response stats just like paged runs.
 func TestMetricsMatchFlatJoin(t *testing.T) {
@@ -280,19 +275,16 @@ func TestMetricsMatchFlatJoin(t *testing.T) {
 	if jr.Storage != "flat" {
 		t.Fatalf("auto storage picked %q, want flat", jr.Storage)
 	}
-	if jr.Stats.PageAccesses != 0 || jr.Stats.DecodeMisses != 0 {
+	if jr.Stats.PageAccesses != 0 {
 		t.Fatalf("flat join reported page I/O: %+v", jr.Stats)
-	}
-	if got := delta(`cij_flat_reads_total`); got != jr.Stats.LogicalReads || got == 0 {
-		t.Fatalf("cij_flat_reads_total moved %d, response says %d logical reads", got, jr.Stats.LogicalReads)
 	}
 	if got := delta(`cij_logical_reads_total`); got != jr.Stats.LogicalReads {
 		t.Fatalf("cij_logical_reads_total moved %d, response says %d", got, jr.Stats.LogicalReads)
 	}
-	if got := delta(`cij_decode_hits_total`); got != jr.Stats.LogicalReads {
-		t.Fatalf("cij_decode_hits_total moved %d, want every flat read a hit (%d)", got, jr.Stats.LogicalReads)
+	if got := delta(`cij_decode_hits_total`); got != jr.Stats.LogicalReads || got == 0 {
+		t.Fatalf("cij_decode_hits_total moved %d, want every flat read a hit (%d logical reads)", got, jr.Stats.LogicalReads)
 	}
-	for _, family := range []string{`cij_pages_read_total`, `cij_pages_written_total`, `cij_decode_misses_total`, `cij_buffer_evictions_total`} {
+	for _, family := range []string{`cij_pages_read_total`, `cij_pages_written_total`, `cij_buffer_evictions_total`} {
 		if got := delta(family); got != 0 {
 			t.Fatalf("flat join moved %s by %d, want 0", family, got)
 		}

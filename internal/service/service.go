@@ -448,7 +448,7 @@ func (s *Service) compute(ctx context.Context, qid int64, key string, pl Plan, l
 		s.metrics.flatJoins.Inc()
 	}
 	s.metrics.joinLatency.With(pl.Algo).Observe(res.CPU.Seconds())
-	s.metrics.recordJoinIO(res.IO, pl.Storage)
+	s.metrics.recordJoinIO(res.IO)
 
 	logArgs := []any{
 		"query_id", qid,

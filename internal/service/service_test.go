@@ -260,19 +260,17 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestStatsDecodeHits: a computed join over buffers large enough to keep
-// pages resident records decoded-node cache hits in /stats, and a cache
-// hit adds none (no execution, no decodes).
+// TestStatsDecodeHits: a computed join on flat storage (the planner's
+// default) records its decode-free arena reads in /stats, and a cache hit
+// adds none (no execution, no reads).
 func TestStatsDecodeHits(t *testing.T) {
 	p, q := dataset.Uniform(2000, 51), dataset.Uniform(2000, 52)
-	// A generous buffer keeps both trees resident, so repeat node accesses
-	// within the join are decode hits rather than re-parses.
-	svc, ts := newTestServer(t, service.Config{BufferPct: 100}, p, q)
+	svc, ts := newTestServer(t, service.Config{}, p, q)
 
 	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
 	hits := svc.StatsSnapshot().DecodeHits
 	if hits == 0 {
-		t.Fatal("computed join over resident trees recorded no decode hits")
+		t.Fatal("computed flat join recorded no decode hits")
 	}
 	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
 	if got := svc.StatsSnapshot().DecodeHits; got != hits {

@@ -265,7 +265,7 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 	if n := len(res.Removed); n > 0 {
 		s.metrics.churnEvents.With("remove").Add(int64(n))
 	}
-	s.metrics.recordJoinIO(io, "paged")
+	s.metrics.recordJoinIO(io)
 
 	lv, rv := cur.Version, other.Version
 	ld, rd := cur, other

@@ -4,13 +4,14 @@ package storage
 // a Buffer handle.
 //
 // BackendPaged is the disk-resident representation of the paper: every
-// node is an encoded page, reads go through the LRU cache and count
-// physical I/O on misses. BackendFlat marks a buffer that fronts no pages
-// at all — the tree's nodes live in a contiguous in-memory arena
-// (rtree flat mode) and the buffer is retained purely as the I/O ledger:
-// reads are counted (LogicalReads, DecodeHits) but no page is ever
-// fetched, decoded, cached or evicted, so PageReads, PageWrites and
-// DecodeMisses stay identically zero.
+// node is an encoded page, reads go through the LRU cache, count physical
+// I/O on misses and parse the page bytes on every access. BackendFlat
+// marks a buffer that fronts no pages at all — the tree's nodes live in a
+// contiguous in-memory arena (rtree flat mode), the one decode-free read
+// path, and the buffer is retained purely as the I/O ledger: reads are
+// counted (LogicalReads, DecodeHits) but no page is ever fetched,
+// decoded, cached or evicted, so PageReads and PageWrites stay
+// identically zero.
 type Backend uint8
 
 const (
@@ -34,7 +35,7 @@ func (b Backend) String() string {
 // its node arena) and report themselves through NoteFlatRead, so the
 // ledger's Stats keep the accounting invariants every consumer relies on —
 // LogicalReads counts node accesses exactly like a paged run, while
-// PageAccesses() and DecodeMisses are structurally zero.
+// PageAccesses() is structurally zero.
 //
 // The ledger supports the full Buffer surface (Fork for per-worker or
 // per-request isolation, Stats/ResetStats/RestoreStats, SetOnEvict), so

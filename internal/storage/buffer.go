@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Stats accumulates the I/O counters reported in the paper's experiments.
 type Stats struct {
@@ -16,14 +13,11 @@ type Stats struct {
 	PageReads int64
 	// PageWrites counts physical page writes (tree materialization cost).
 	PageWrites int64
-	// DecodeHits counts ReadDecoded calls served from a page's attached
-	// decoded representation — accesses that skipped re-parsing the page.
-	// Purely a CPU-side metric: it never contributes to PageAccesses.
+	// DecodeHits counts node accesses served without parsing a page: the
+	// arena reads of flat trees (NoteFlatRead). Paged reads always parse,
+	// so on a paged buffer it stays zero. Purely a CPU-side metric: it
+	// never contributes to PageAccesses.
 	DecodeHits int64
-	// DecodeMisses counts ReadDecoded calls that found no decoded
-	// representation attached (cold page, invalidated page, or decode
-	// caching disabled) and had to re-parse the page bytes.
-	DecodeMisses int64
 }
 
 // PageAccesses returns the combined physical I/O count.
@@ -37,7 +31,6 @@ func (s Stats) Sub(o Stats) Stats {
 		PageReads:    s.PageReads - o.PageReads,
 		PageWrites:   s.PageWrites - o.PageWrites,
 		DecodeHits:   s.DecodeHits - o.DecodeHits,
-		DecodeMisses: s.DecodeMisses - o.DecodeMisses,
 	}
 }
 
@@ -48,7 +41,6 @@ func (s Stats) Add(o Stats) Stats {
 		PageReads:    s.PageReads + o.PageReads,
 		PageWrites:   s.PageWrites + o.PageWrites,
 		DecodeHits:   s.DecodeHits + o.DecodeHits,
-		DecodeMisses: s.DecodeMisses + o.DecodeMisses,
 	}
 }
 
@@ -65,19 +57,13 @@ func (s Stats) String() string {
 // its page count in writes (Section III-C: "the I/O cost of tree
 // construction is exactly the cost of writing the nodes of R'P to disk").
 //
-// Each cached page can carry one decoded representation (SetDecoded), a
-// side slot that rides the page's LRU residency: it is dropped together
-// with the page on eviction and cleared by any Write to the page, so a
-// non-nil decoded value returned by ReadDecoded is always coherent with
-// the page bytes. The slot is how rtree.Tree avoids re-parsing hot nodes
-// on every buffer hit without perturbing a single I/O counter — the read
-// path (LogicalReads, PageReads, LRU order) is byte-for-byte the one of
-// Read.
+// The buffer caches page bytes only. Callers parse what they read (rtree
+// decodes each paged node access afresh); the in-memory, parse-free
+// representation is the flat arena behind a NewFlatLedger buffer.
 type Buffer struct {
 	disk     *Disk
 	capacity int
 	stats    Stats
-	gen      uint64 // write generation: incremented by every Write
 
 	// Intrusive LRU: a sentinel-anchored doubly-linked list of bufEntry
 	// with a free list for recycled nodes, so steady-state page churn —
@@ -88,24 +74,20 @@ type Buffer struct {
 	entries map[PageID]*bufEntry // page id -> live entry
 	count   int
 
-	decodeCaching bool // when false, ReadDecoded/SetDecoded ignore the slot
-
 	// backend marks what the buffer fronts: BackendPaged for the ordinary
 	// page cache, BackendFlat for the stats-only ledger of an
 	// arena-resident tree (see backend.go). Forks inherit it.
 	backend Backend
 
 	// onEvict, when non-nil, observes every page leaving the cache
-	// (capacity eviction, shrink, DropAll) together with its attached
-	// decoded value. Diagnostics/test hook; it must not call back into the
-	// buffer.
-	onEvict func(id PageID, decoded any)
+	// (capacity eviction, shrink, DropAll). Diagnostics/metrics hook; it
+	// must not call back into the buffer.
+	onEvict func(id PageID)
 }
 
 type bufEntry struct {
 	id         PageID
 	data       []byte
-	decoded    any // decoded representation of data, nil when none attached
 	prev, next *bufEntry
 }
 
@@ -115,10 +97,9 @@ func NewBuffer(disk *Disk, capacity int) *Buffer {
 		capacity = 0
 	}
 	b := &Buffer{
-		disk:          disk,
-		capacity:      capacity,
-		entries:       make(map[PageID]*bufEntry),
-		decodeCaching: DecodeCacheDefault(),
+		disk:     disk,
+		capacity: capacity,
+		entries:  make(map[PageID]*bufEntry),
 	}
 	b.head.prev, b.head.next = &b.head, &b.head
 	return b
@@ -150,7 +131,6 @@ func (b *Buffer) moveToFront(e *bufEntry) {
 // release returns an unlinked entry to the free list.
 func (b *Buffer) release(e *bufEntry) {
 	e.data = nil
-	e.decoded = nil
 	e.prev = nil
 	e.next = b.free
 	b.free = e
@@ -168,17 +148,12 @@ func (b *Buffer) Disk() *Disk { return b.disk }
 // Per-fork Stats then attribute I/O to each worker exactly, and summing
 // them yields the total physical I/O of a parallel run.
 //
-// Decoded-page slots are per-buffer state like the LRU list, so each fork
-// starts with an empty, private decoded cache — forks never share decoded
-// nodes, which is what keeps parallel workers and per-request service
-// views race-free without any locking. A fork inherits the decode-caching
-// switch and the eviction hook: a hook installed on a dataset's base
-// buffer observes evictions from every per-request view forked off it, so
-// it must itself be safe for concurrent use (an atomic counter is the
-// typical shape).
+// A fork inherits the backend and the eviction hook: a hook installed on
+// a dataset's base buffer observes evictions from every per-request view
+// forked off it, so it must itself be safe for concurrent use (an atomic
+// counter is the typical shape).
 func (b *Buffer) Fork(capacity int) *Buffer {
 	f := NewBuffer(b.disk, capacity)
-	f.decodeCaching = b.decodeCaching
 	f.onEvict = b.onEvict
 	f.backend = b.backend
 	return f
@@ -209,12 +184,11 @@ func (b *Buffer) ResetStats() { b.stats = Stats{} }
 func (b *Buffer) RestoreStats(s Stats) { b.stats = s }
 
 // DropAll empties the cache (cold restart) without touching the counters.
-// Decoded slots leave with their pages.
 func (b *Buffer) DropAll() {
 	for e := b.head.next; e != &b.head; {
 		next := e.next
 		if b.onEvict != nil {
-			b.onEvict(e.id, e.decoded)
+			b.onEvict(e.id)
 		}
 		delete(b.entries, e.id)
 		b.release(e)
@@ -238,91 +212,12 @@ func (b *Buffer) Read(id PageID) []byte {
 	return data
 }
 
-// ReadDecoded is Read plus the page's decoded slot: it returns the page
-// bytes and, when one is attached and decode caching is on, the decoded
-// representation last stored with SetDecoded. The I/O accounting and LRU
-// effect are exactly those of Read — the decoded value changes what the
-// caller must re-parse, never what the buffer counts. A nil decoded
-// result means the caller should decode the bytes (and may SetDecoded the
-// result for the next access).
-//
-// resident reports whether the page was in the buffer BEFORE this read
-// (a buffer hit). Callers use it as an install heuristic: decoding into a
-// heap node is only worth it for pages that demonstrably get re-read, so
-// the hot read path keeps first-touch decodes in scratch and installs on
-// the second touch.
-func (b *Buffer) ReadDecoded(id PageID) (data []byte, decoded any, resident bool) {
-	b.stats.LogicalReads++
-	if e, ok := b.entries[id]; ok {
-		b.moveToFront(e)
-		if e.decoded != nil && b.decodeCaching {
-			b.stats.DecodeHits++
-			return e.data, e.decoded, true
-		}
-		b.stats.DecodeMisses++
-		return e.data, nil, true
-	}
-	b.stats.PageReads++
-	b.stats.DecodeMisses++
-	d := b.disk.read(id)
-	b.install(id, d)
-	return d, nil, false
-}
-
-// SetDecoded attaches a decoded representation to the page's buffer slot,
-// to be returned by subsequent ReadDecoded calls while the page stays
-// resident and unwritten. It is a no-op when the page is not resident
-// (capacity-0 buffers never cache decodes) or decode caching is off.
-// No counter is touched and the LRU order is left alone: attaching is
-// bookkeeping on an access that was already counted.
-func (b *Buffer) SetDecoded(id PageID, v any) {
-	if !b.decodeCaching {
-		return
-	}
-	if e, ok := b.entries[id]; ok {
-		e.decoded = v
-	}
-}
-
-// Decoded returns the decoded value currently attached to the page, if
-// any, without touching counters or LRU order. Test/diagnostic accessor.
-func (b *Buffer) Decoded(id PageID) (any, bool) {
-	if e, ok := b.entries[id]; ok && e.decoded != nil {
-		return e.decoded, true
-	}
-	return nil, false
-}
-
-// Generation returns the buffer's write generation: a counter incremented
-// by every Write through this buffer. Decoded-node caches use it in tests
-// to assert that mutation epochs were observed; page-level coherence
-// itself is structural (Write clears the written page's decoded slot).
-func (b *Buffer) Generation() uint64 { return b.gen }
-
 // SetOnEvict installs a hook observing every page that leaves the cache
-// (LRU eviction, capacity shrink, DropAll), along with the decoded value
-// the page carried. Pass nil to remove it. The hook must not mutate the
-// buffer. Buffers forked after the call inherit the hook (see Fork), so a
-// hook that may run on several forks concurrently must be thread-safe.
-func (b *Buffer) SetOnEvict(fn func(id PageID, decoded any)) { b.onEvict = fn }
-
-// SetDecodeCaching switches the decoded-slot machinery on or off for this
-// buffer. Off, ReadDecoded never returns a decoded value and SetDecoded
-// is a no-op — every access re-parses, as before the cache existed. The
-// I/O counters and LRU behavior are identical in both modes (the
-// equivalence suite runs both ways to prove it); DecodeHits/DecodeMisses
-// are the only counters that differ.
-func (b *Buffer) SetDecodeCaching(on bool) {
-	b.decodeCaching = on
-	if !on {
-		for e := b.head.next; e != &b.head; e = e.next {
-			e.decoded = nil
-		}
-	}
-}
-
-// DecodeCaching reports whether decoded-slot caching is enabled.
-func (b *Buffer) DecodeCaching() bool { return b.decodeCaching }
+// (LRU eviction, capacity shrink, DropAll). Pass nil to remove it. The
+// hook must not mutate the buffer. Buffers forked after the call inherit
+// the hook (see Fork), so a hook that may run on several forks
+// concurrently must be thread-safe.
+func (b *Buffer) SetOnEvict(fn func(id PageID)) { b.onEvict = fn }
 
 // Contains reports whether the page is currently cached (no counter
 // impact). Used by tests.
@@ -331,16 +226,12 @@ func (b *Buffer) Contains(id PageID) bool {
 	return ok
 }
 
-// Write stores data into the page (write-through) and caches it. The
-// page's decoded slot is cleared — whatever representation was attached
-// described the old bytes — and the write generation advances.
+// Write stores data into the page (write-through) and caches it.
 func (b *Buffer) Write(id PageID, data []byte) {
 	b.stats.PageWrites++
-	b.gen++
 	b.disk.write(id, data)
 	if e, ok := b.entries[id]; ok {
 		e.data = b.disk.read(id)
-		e.decoded = nil
 		b.moveToFront(e)
 		return
 	}
@@ -362,7 +253,7 @@ func (b *Buffer) install(id PageID, data []byte) {
 	} else {
 		e = &bufEntry{}
 	}
-	e.id, e.data, e.decoded = id, data, nil
+	e.id, e.data = id, data
 	b.linkFront(e)
 	b.entries[id] = e
 	b.count++
@@ -379,27 +270,8 @@ func (b *Buffer) evictOverflow() {
 		delete(b.entries, back.id)
 		b.count--
 		if b.onEvict != nil {
-			b.onEvict(back.id, back.decoded)
+			b.onEvict(back.id)
 		}
 		b.release(back)
 	}
 }
-
-// decodeCacheDefault is the creation-time default for Buffer decode
-// caching: on unless switched off. The equivalence suite flips it to run
-// every backend with and without decoded-node caching; experiment code
-// can flip it for ablations.
-var decodeCacheDefault atomic.Bool
-
-func init() { decodeCacheDefault.Store(true) }
-
-// SetDecodeCacheDefault sets whether buffers created from now on cache
-// decoded pages, returning the previous default. Existing buffers are
-// unaffected; use Buffer.SetDecodeCaching for those.
-func SetDecodeCacheDefault(on bool) (previous bool) {
-	return decodeCacheDefault.Swap(on)
-}
-
-// DecodeCacheDefault reports the creation-time default for decode
-// caching.
-func DecodeCacheDefault() bool { return decodeCacheDefault.Load() }

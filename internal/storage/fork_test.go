@@ -133,7 +133,7 @@ func TestSetCapacityZeroDropsCaching(t *testing.T) {
 func TestForkInheritsOnEvict(t *testing.T) {
 	base := seededDisk(8, 8)
 	var evicted int
-	base.SetOnEvict(func(id PageID, decoded any) { evicted++ })
+	base.SetOnEvict(func(PageID) { evicted++ })
 
 	fork := base.Fork(2) // room for 2 pages: reading 8 evicts 6
 	for id := 0; id < 8; id++ {

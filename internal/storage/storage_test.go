@@ -165,12 +165,12 @@ func TestBufferWriteThrough(t *testing.T) {
 }
 
 func TestStatsArithmetic(t *testing.T) {
-	a := Stats{LogicalReads: 10, PageReads: 5, PageWrites: 2, DecodeHits: 4, DecodeMisses: 6}
-	b := Stats{LogicalReads: 3, PageReads: 1, PageWrites: 1, DecodeHits: 1, DecodeMisses: 2}
-	if got := a.Sub(b); got != (Stats{LogicalReads: 7, PageReads: 4, PageWrites: 1, DecodeHits: 3, DecodeMisses: 4}) {
+	a := Stats{LogicalReads: 10, PageReads: 5, PageWrites: 2, DecodeHits: 4}
+	b := Stats{LogicalReads: 3, PageReads: 1, PageWrites: 1, DecodeHits: 1}
+	if got := a.Sub(b); got != (Stats{LogicalReads: 7, PageReads: 4, PageWrites: 1, DecodeHits: 3}) {
 		t.Fatalf("Sub = %+v", got)
 	}
-	if got := a.Add(b); got != (Stats{LogicalReads: 13, PageReads: 6, PageWrites: 3, DecodeHits: 5, DecodeMisses: 8}) {
+	if got := a.Add(b); got != (Stats{LogicalReads: 13, PageReads: 6, PageWrites: 3, DecodeHits: 5}) {
 		t.Fatalf("Add = %+v", got)
 	}
 	if a.PageAccesses() != 7 {

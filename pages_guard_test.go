@@ -1,7 +1,7 @@
 // Pages guard: the paper's I/O metric is the whole point of the
 // reproduction, so the Fig. 7 page counts are pinned here as constants.
-// CPU-side work — the decoded-node cache, geometric fast paths,
-// allocation pooling — must never move a single page access; if it does,
+// CPU-side work — flat arenas, geometric fast paths, allocation
+// pooling — must never move a single page access; if it does,
 // this test (run by the CI bench-smoke job and the regular suite) fails
 // the build instead of letting the regression ship inside a "faster"
 // benchmark record.
