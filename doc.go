@@ -15,10 +15,13 @@
 // (internal/voronoi), the three CIJ evaluation algorithms FM/PM/NM
 // (internal/core), a partition-parallel execution engine running NM-CIJ
 // across a worker pool with exact result equivalence (internal/parallel),
-// the traditional join operators used as baselines (internal/joins),
-// dataset generators (internal/dataset), and the experiment harness
-// regenerating every table and figure of the paper plus a parallel
-// scalability experiment (internal/exp, driven by cmd/cijbench).
+// the traditional join operators used as baselines (internal/joins, kept
+// without a served caller because they carry the paper's argument that no
+// ε reproduces CIJ; packages_guard_test.go fails on any other unreached
+// package outside the test-only internal/check), dataset generators
+// (internal/dataset), and the experiment harness regenerating every table
+// and figure of the paper plus a parallel scalability experiment
+// (internal/exp, driven by cmd/cijbench).
 //
 // Trees read their nodes through one of two storage modes: paged (the
 // paper's byte format behind the LRU buffer — every access is a node

@@ -18,6 +18,9 @@
 // backgrounds, points on the domain boundary and corners, and degenerate
 // 1–3 point sets. Failures reproduce exactly from the seed printed in the
 // test name.
+//
+// No production code imports this package: it is the test-only
+// equivalence harness.
 package check
 
 import (

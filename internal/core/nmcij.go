@@ -72,21 +72,12 @@ func NMCIJ(rp, rq *rtree.Tree, domain geom.Rect, opts Options) Result {
 	return Result{Pairs: col.pairs, Stats: stats}
 }
 
-// batchConditionalFilter implements Algorithm 5 generalized to a group of
-// convex polygons (the "Batch conditional filter" of Section IV-A) with
-// throwaway scratch. Sequential hot loops should call filterScratch.run
-// on a reused scratch instead; recursive callers (the multiway join) need
-// this form, because an outer run's candidate slice must survive while
-// inner filters execute.
-func batchConditionalFilter(rp *rtree.Tree, group []cellRecord, domain geom.Rect) []voronoi.Site {
-	var fs filterScratch
-	return fs.run(rp, group, domain)
-}
-
-// run traverses the R-tree of P best-first from the group's centroid and
-// returns the candidate points whose Voronoi cells may intersect any
-// polygon of the group. The returned slice is the scratch's candidate
-// buffer, valid until the next run on the same scratch.
+// run is Algorithm 5 generalized to a group of convex polygons (the
+// "Batch conditional filter" of Section IV-A): it traverses the R-tree of
+// P best-first from the group's centroid and returns the candidate points
+// whose Voronoi cells may intersect any polygon of the group. The
+// returned slice is the scratch's candidate buffer, valid until the next
+// run on the same scratch.
 func (fs *filterScratch) run(rp *rtree.Tree, group []cellRecord, domain geom.Rect) []voronoi.Site {
 	fs.cp = fs.cp[:0]
 	fs.cpx = fs.cpx[:0]

@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -186,7 +187,8 @@ func WriteCSV(w io.Writer, pts []geom.Point) error {
 }
 
 // ReadCSV parses "x,y" lines (blank lines and #-comments skipped) and
-// normalizes nothing: callers normalize if needed.
+// normalizes nothing: callers normalize if needed. NaN and ±Inf
+// coordinates are rejected with their line number.
 func ReadCSV(r io.Reader) ([]geom.Point, error) {
 	var pts []geom.Point
 	sc := bufio.NewScanner(r)
@@ -202,15 +204,18 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("dataset: line %d: want \"x,y\", got %q", line, txt)
 		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %v", line, err)
+		var xy [2]float64
+		for i, part := range parts {
+			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: line %d: %v", line, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("dataset: line %d: non-finite coordinate %q", line, part)
+			}
+			xy[i] = v
 		}
-		y, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %v", line, err)
-		}
-		pts = append(pts, geom.Pt(x, y))
+		pts = append(pts, geom.Pt(xy[0], xy[1]))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,20 +166,30 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-// TestReadCSVMalformedRows pins the parser's error paths: short rows, long
-// rows, unparsable coordinates — each rejected with the offending line
-// number — while blank lines and comments stay skippable.
+// malformedCSV holds the parser's error paths: short rows, long rows,
+// unparsable and non-finite coordinates, each with the line number its
+// error must name. Blank lines and comments stay skippable.
+var malformedCSV = []struct {
+	name, in, wantInErr string
+}{
+	{"short row", "1,2\n5\n", "line 2"},
+	{"missing y", "1,\n", "line 1"},
+	{"missing x", ",2\n", "line 1"},
+	{"too many fields", "1,2\n3,4,5\n", "line 2"},
+	{"bad x", "# ok\nx,2\n", "line 2"},
+	{"bad y", "1,2\n\n3,yy\n", "line 3"},
+	{"NaN x", "NaN,1\n2,3\n", "line 1"},
+	{"Inf y", "1,2\n3,-Inf\n", "line 2"},
+	{"infinity x", "1,2\n\n+infinity,0\n", "line 3"},
+}
+
+// emptyCSV holds inputs with nothing to parse.
+var emptyCSV = []string{"", "\n\n", "# only comments\n"}
+
+// TestReadCSVMalformedRows pins each malformed row to an error naming
+// its line.
 func TestReadCSVMalformedRows(t *testing.T) {
-	for _, tc := range []struct {
-		name, in, wantInErr string
-	}{
-		{"short row", "1,2\n5\n", "line 2"},
-		{"missing y", "1,\n", "line 1"},
-		{"missing x", ",2\n", "line 1"},
-		{"too many fields", "1,2\n3,4,5\n", "line 2"},
-		{"bad x", "# ok\nx,2\n", "line 2"},
-		{"bad y", "1,2\n\n3,yy\n", "line 3"},
-	} {
+	for _, tc := range malformedCSV {
 		pts, err := ReadCSV(strings.NewReader(tc.in))
 		if err == nil {
 			t.Errorf("%s: ReadCSV(%q) = %v, want error", tc.name, tc.in, pts)
@@ -193,12 +204,47 @@ func TestReadCSVMalformedRows(t *testing.T) {
 // TestReadCSVEmptyInputs: nothing to parse is not an error, it is an empty
 // pointset (callers decide whether that is acceptable).
 func TestReadCSVEmptyInputs(t *testing.T) {
-	for _, in := range []string{"", "\n\n", "# only comments\n"} {
+	for _, in := range emptyCSV {
 		pts, err := ReadCSV(strings.NewReader(in))
 		if err != nil || len(pts) != 0 {
 			t.Errorf("ReadCSV(%q) = %v, %v; want empty, nil", in, pts, err)
 		}
 	}
+}
+
+// FuzzReadCSV feeds the CSV trust boundary arbitrary text: ReadCSV must
+// never panic, every point it accepts must be finite, and what it
+// accepts must survive WriteCSV → ReadCSV exactly.
+func FuzzReadCSV(f *testing.F) {
+	for _, tc := range malformedCSV {
+		f.Add(tc.in)
+	}
+	for _, in := range emptyCSV {
+		f.Add(in)
+	}
+	f.Add("# header\n1.5, 2.5\n-0,1e308\n0x1p-3,4.9e-324\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		pts, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, p := range pts {
+			if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+				t.Fatalf("point %d = %v is not finite", i, p)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written CSV: %v", err)
+		}
+		if !slices.Equal(back, pts) {
+			t.Fatalf("round trip: %v, want %v", back, pts)
+		}
+	})
 }
 
 // TestSpecGenerate: the named loader produces the same points as the

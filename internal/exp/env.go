@@ -22,7 +22,6 @@ import (
 const (
 	DefaultPageSize  = storage.DefaultPageSize
 	DefaultBufferPct = 2.0
-	DefaultN         = 100_000
 	// PageAccessCost is the charged cost per random page access used in
 	// the paper's I/O-vs-CPU discussion ("if we charge a typical 10ms for
 	// each random disk page access").

@@ -5,9 +5,10 @@
 // R-tree indexed pointsets with the synchronous-traversal / best-first
 // machinery of the literature they cite.
 //
-// These operators exist both as baselines (they demonstrate that no ε or
-// k reproduces the CIJ result) and as supporting operators for the
-// examples.
+// No served path calls this package. It is kept because
+// TestEpsilonDoesNotReproduceCIJ is the paper's argument that no ε
+// reproduces CIJ, and examples/groupnn uses it as the All-NN route of the
+// paper's third application.
 package joins
 
 import (

@@ -196,15 +196,6 @@ func (r *Registry) FindCounter(name string, labelValues ...string) *Counter {
 	return nil
 }
 
-// FindHistogram returns the histogram series for the given label values,
-// or nil when absent. Test/bench accessor.
-func (r *Registry) FindHistogram(name string, labelValues ...string) *Histogram {
-	if s := r.find(name, typeHistogram, labelValues); s != nil {
-		return s.h
-	}
-	return nil
-}
-
 func (r *Registry) find(name, typ string, labelValues []string) *series {
 	r.mu.RLock()
 	f, ok := r.byName[name]

@@ -33,9 +33,6 @@ type flatStore struct {
 	verts   []geom.Point
 }
 
-// Flat reports whether the tree is arena-resident (frozen or flat-built).
-func (t *Tree) Flat() bool { return t.flat != nil }
-
 // Freeze returns a flat, read-only copy of the tree on a fresh stats
 // ledger over the tree's own disk. The conversion is structure-preserving:
 // node shapes, entry contents and orders are copied verbatim (only the

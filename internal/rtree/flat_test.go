@@ -86,7 +86,7 @@ func TestFreezeStructuralEquality(t *testing.T) {
 	buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
 	paged := BulkLoadPoints(buf, pts, flatTestDomain, 1)
 	flat := paged.Freeze()
-	if !flat.Flat() {
+	if flat.flat == nil {
 		t.Fatal("Freeze returned a non-flat tree")
 	}
 	if flat.Buffer().Backend() != storage.BackendFlat {
@@ -97,7 +97,7 @@ func TestFreezeStructuralEquality(t *testing.T) {
 		t.Fatalf("flat invariants: %v", err)
 	}
 	// The source tree must be untouched and still paged.
-	if paged.Flat() {
+	if paged.flat != nil {
 		t.Fatal("Freeze mutated the source tree")
 	}
 	if err := paged.CheckInvariants(); err != nil {
@@ -113,7 +113,7 @@ func TestFlatBulkLoadMatchesFreeze(t *testing.T) {
 		buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
 		frozen := BulkLoadPoints(buf, pts, flatTestDomain, 1).Freeze()
 		direct := FlatBulkLoadPoints(pts, flatTestDomain, 1024, 1)
-		if !direct.Flat() {
+		if direct.flat == nil {
 			t.Fatalf("n=%d: FlatBulkLoadPoints returned a non-flat tree", n)
 		}
 		sameStructure(t, frozen, direct)

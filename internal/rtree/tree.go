@@ -211,17 +211,6 @@ func (t *Tree) allocNode(n *Node) storage.PageID {
 	return id
 }
 
-// maxLeafEntries returns the fixed leaf capacity for point trees. Polygon
-// leaves are byte-packed and have no fixed entry capacity.
-func (t *Tree) maxLeafEntries() int {
-	if t.kind == KindPoints {
-		return t.maxPoints
-	}
-	// For polygon trees used with Insert (tests only), derive a
-	// conservative capacity from the minimum polygon size (triangle).
-	return (t.buf.Disk().PageSize() - headerSize) / (polyEntryFixed + 3*vertexSize)
-}
-
 // leafFits reports whether the entries (plus optionally extra) fit into a
 // leaf page, accounting for variable-size polygon entries.
 func (t *Tree) leafFits(entries []Entry, extra *Entry) bool {

@@ -125,7 +125,7 @@ func (s *Service) applyMutation(name string, spec MutationSpec) (old, cur *Datas
 }
 
 // mutationErrorStatus maps registry mutation errors onto HTTP statuses:
-// a missing dataset is 404, immutability and install races are 409
+// a missing dataset is 404, install races are 409
 // (retryable conflicts, not malformed requests), anything else — bad
 // IDs, out-of-domain positions, oversized or empty batches — is the
 // client's 400.
@@ -133,7 +133,7 @@ func mutationErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownDataset):
 		return http.StatusNotFound
-	case errors.Is(err, ErrDatasetImmutable), errors.Is(err, ErrMutationConflict):
+	case errors.Is(err, ErrMutationConflict):
 		return http.StatusConflict
 	default:
 		return http.StatusBadRequest

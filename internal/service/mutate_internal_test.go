@@ -2,14 +2,12 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"cij/internal/core"
-	"cij/internal/dataset"
 	"cij/internal/obs"
 	"cij/internal/storage"
 )
@@ -48,29 +46,6 @@ func TestCacheInvalidationExactNames(t *testing.T) {
 		if _, ok := c.get(tc.key); ok != tc.want {
 			t.Errorf("after invalidate(p): entry %q present=%v, want %v", tc.key, ok, tc.want)
 		}
-	}
-}
-
-// TestMutateFlatDatasetConflict pins the immutability guard: a dataset
-// whose live tree is flat (arena-frozen, no disk to copy-on-write) must
-// refuse mutation with ErrDatasetImmutable, which the HTTP layer maps to
-// 409 — before anything reaches the clone path that would panic.
-func TestMutateFlatDatasetConflict(t *testing.T) {
-	reg := NewRegistry(2)
-	d, err := reg.Put("frozen", dataset.Uniform(50, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Registry datasets always carry paged trees; force the guard's
-	// condition by making the live tree the flat copy.
-	d.Tree = d.FlatTree
-
-	_, _, _, err = reg.Mutate("frozen", MutationSpec{Delete: []int64{0}})
-	if !errors.Is(err, ErrDatasetImmutable) {
-		t.Fatalf("Mutate on flat dataset: err = %v, want ErrDatasetImmutable", err)
-	}
-	if got := mutationErrorStatus(err); got != http.StatusConflict {
-		t.Fatalf("mutationErrorStatus(ErrDatasetImmutable) = %d, want 409", got)
 	}
 }
 

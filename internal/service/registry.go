@@ -158,13 +158,19 @@ func (r *Registry) Put(name string, pts []geom.Point) (*Dataset, error) {
 // PrepareIngest validates and builds a dataset without installing it —
 // the first half of Put, split out so the durable tier can snapshot the
 // build to disk before any reader can see it. The returned dataset has no
-// version yet; InstallIngest assigns one.
+// version yet; InstallIngest assigns one. Every point must lie in
+// dataset.Domain, as PrepareMutation requires of inserts and moves.
 func (r *Registry) PrepareIngest(name string, pts []geom.Point) (*Dataset, error) {
 	if !nameRe.MatchString(name) {
 		return nil, fmt.Errorf("service: invalid dataset name %q (want %s)", name, nameRe)
 	}
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("service: dataset %q has no points", name)
+	}
+	for i, p := range pts {
+		if !dataset.Domain.Contains(p) {
+			return nil, fmt.Errorf("service: point %d of %q at (%v, %v) outside the domain", i, name, p.X, p.Y)
+		}
 	}
 	return buildDataset(name, pts, r.bufferPct), nil
 }
@@ -233,10 +239,9 @@ func (r *Registry) List() []*Dataset {
 }
 
 // Mutation sentinel errors; the HTTP layer maps them to statuses
-// (404 unknown, 409 immutable/conflict, 400 everything else).
+// (404 unknown, 409 conflict, 400 everything else).
 var (
 	ErrUnknownDataset    = errors.New("unknown dataset")
-	ErrDatasetImmutable  = errors.New("dataset is immutable")
 	ErrMutationConflict  = errors.New("dataset replaced concurrently; retry the mutation")
 	errEmptyMutation     = errors.New("empty mutation batch")
 	errMutationTooLarge  = errors.New("mutation batch too large")
@@ -315,9 +320,6 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 	d, ok := r.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("service: %w %q", ErrUnknownDataset, name)
-	}
-	if d.Tree.Flat() {
-		return nil, fmt.Errorf("service: %w: %q is served from flat storage; re-ingest to mutate", ErrDatasetImmutable, name)
 	}
 	if spec.size() == 0 {
 		return nil, fmt.Errorf("service: %w for %q", errEmptyMutation, name)

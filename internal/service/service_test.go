@@ -360,6 +360,11 @@ func TestIngestHTTP(t *testing.T) {
 		{"/datasets/badgen?gen=uniform", ""},     // n missing
 		{"/datasets/badkind?gen=hexagonal", ""},  // unknown generator
 		{"/datasets/badn?gen=uniform&n=zap", ""}, // unparsable n
+		// Non-finite input, or a span overflowing to +Inf, would
+		// normalize every point to NaN and serve joins missing points.
+		{"/datasets/nan", "NaN,1\n2,3\n5,5\n"},
+		{"/datasets/inf", "Inf,1\n2,3\n5,5\n"},
+		{"/datasets/overflow", "1e308,0\n-1e308,5\n"},
 	} {
 		if resp, _ := post(bad.path, bad.body); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST %s: status %d, want 400", bad.path, resp.StatusCode)
