@@ -26,8 +26,8 @@
 // Trees read their nodes through one of two storage modes: paged (the
 // paper's byte format behind the LRU buffer — every access is a node
 // access, a buffer miss is page I/O, and every access parses its page)
-// and flat (an immutable in-memory arena built by rtree.Tree.Freeze or
-// rtree.FlatBulkLoadPoints — no pages, no decode, structurally zero I/O).
+// and flat (an immutable in-memory arena, a one-shot copy of a paged
+// tree by rtree.Tree.Freeze — no pages, no decode, structurally zero I/O).
 // Both emit the byte-identical pair sequence; they differ only in cost
 // profile. Paged reproduces the paper's I/O counts, flat is the one path
 // tuned for in-memory speed, and the query service's planner picks flat

@@ -9,7 +9,6 @@
 package exp
 
 import (
-	"math"
 	"time"
 
 	"cij/internal/dataset"
@@ -68,11 +67,7 @@ func BuildEnv(p, q []geom.Point, pageSize int, bufferPct float64) *Env {
 // SetBufferPct resizes the LRU buffer to pct% of the data pages (at least
 // one page unless pct is zero).
 func (e *Env) SetBufferPct(pct float64) {
-	pages := int(math.Ceil(float64(e.DataPages) * pct / 100))
-	if pct > 0 && pages < 1 {
-		pages = 1
-	}
-	e.Buf.SetCapacity(pages)
+	e.Buf.SetCapacity(storage.CapacityFor(e.DataPages, pct))
 }
 
 // Reset drops the cache and zeroes counters: the next measurement starts

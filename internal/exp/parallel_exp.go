@@ -25,10 +25,9 @@ type ScalRow struct {
 
 // RunScalability measures the partitioned engine against serial NM-CIJ on
 // the uniform paper-style workload and a clustered one (|P| = |Q| = n),
-// across the given worker counts. Clustered rows run the cost-balanced
-// partitioner, uniform rows the plain one — each mode on the data shape
-// it exists for. Wall-clock scaling tops out at the machine's core count
-// (runtime.NumCPU, reported by cmd/cijbench alongside the table).
+// across the given worker counts. Wall-clock scaling tops out at the
+// machine's core count (runtime.NumCPU, reported by cmd/cijbench
+// alongside the table).
 func RunScalability(n int, workerCounts []int, seed int64) []ScalRow {
 	type ds struct {
 		name string
@@ -63,7 +62,6 @@ func RunScalability(n int, workerCounts []int, seed int64) []ScalRow {
 			var pairs int64
 			opts := parallel.DefaultOptions()
 			opts.Workers = w
-			opts.Balanced = d.name == "clustered"
 			opts.CollectPairs = false
 			opts.OnPair = func(core.Pair) { pairs++ }
 			start := time.Now()

@@ -15,10 +15,12 @@
 //
 //   - A partitioner (PartitionLeaves) traverses the Q-tree once and
 //     splits its Hilbert-ordered leaf sequence into contiguous work
-//     units. Contiguity preserves the spatial locality that feeds each
-//     worker's reuse buffer; the optional cost-balanced mode sizes units
-//     by leaf entry counts instead of leaf counts, which evens out
-//     skewed (clustered) datasets.
+//     units of near-equal leaf count. Contiguity preserves the spatial
+//     locality that feeds each worker's reuse buffer. On a bulk-loaded
+//     tree equal leaf counts are equal point counts, skewed data
+//     included, because bulk loading packs every leaf but the last full;
+//     the work queue (several units per worker) absorbs the cost
+//     differences that remain.
 //   - A worker pool where each worker pulls units from a shared queue and
 //     runs the NM-CIJ conditional-filter + refinement pipeline
 //     (core.BatchPipeline) against the shared read-only trees. Workers

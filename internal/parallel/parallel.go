@@ -11,23 +11,16 @@ import (
 	"cij/internal/rtree"
 )
 
-// defaultUnitsPerWorker is the work-queue granularity: more units than
+// unitsPerWorker is the work-queue granularity: more units than
 // workers lets the pool rebalance dynamically (a worker that drew a cheap
 // unit pulls another), while units stay large enough that each preserves
 // reuse-buffer locality across its batches.
-const defaultUnitsPerWorker = 4
+const unitsPerWorker = 4
 
 // Options tunes a partition-parallel CIJ run.
 type Options struct {
 	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Balanced switches the partitioner to cost-balanced units sized by
-	// leaf entry counts instead of leaf counts — worthwhile on clustered
-	// data, a wash on uniform data.
-	Balanced bool
-	// UnitsPerWorker is the queue granularity (units ≈ Workers ×
-	// UnitsPerWorker); <= 0 selects defaultUnitsPerWorker.
-	UnitsPerWorker int
 	// Reuse enables each worker's Voronoi-cell reuse buffer
 	// (Section IV-B), exactly as in the serial algorithm.
 	Reuse bool
@@ -79,14 +72,10 @@ func Join(rp, rq *rtree.Tree, domain geom.Rect, opts Options) core.Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	unitsPer := opts.UnitsPerWorker
-	if unitsPer <= 0 {
-		unitsPer = defaultUnitsPerWorker
-	}
 	start := time.Now()
 
 	qBase := rq.Buffer().Stats()
-	units := PartitionLeaves(rq, domain, workers*unitsPer, opts.Balanced)
+	units := PartitionLeaves(rq, domain, workers*unitsPerWorker)
 	partitionIO := rq.Buffer().Stats().Sub(qBase)
 	tr := opts.Trace
 	tr.Add("partition", "", time.Since(start), core.IOCounters(partitionIO).Add(obs.Counters{Items: int64(len(units))}))

@@ -20,21 +20,16 @@ type Unit struct {
 
 // PartitionLeaves collects the leaves of rq in Hilbert order (one tree
 // traversal, charged to rq's own buffer) and splits them into at most
-// maxUnits contiguous units. With balanced set, unit boundaries are chosen
-// so that each unit carries a near-equal share of the leaf ENTRY count
-// rather than the leaf count — leaf occupancy varies little on uniform
-// data but a lot under clustering, where equal-leaf-count units would load
-// workers unevenly.
-func PartitionLeaves(rq *rtree.Tree, domain geom.Rect, maxUnits int, balanced bool) []Unit {
+// maxUnits contiguous units of near-equal leaf count. On a bulk-loaded
+// tree counting leaves is counting points: every leaf but the last is
+// packed full, under clustering as much as on uniform data.
+func PartitionLeaves(rq *rtree.Tree, domain geom.Rect, maxUnits int) []Unit {
 	var batches [][]voronoi.Site
 	rq.VisitLeavesHilbert(domain, func(leaf *rtree.Node) {
 		batches = append(batches, voronoi.SitesOfLeaf(leaf))
 	})
 	if maxUnits < 1 {
 		maxUnits = 1
-	}
-	if balanced {
-		return splitBalanced(batches, maxUnits)
 	}
 	return splitEven(batches, maxUnits)
 }
@@ -54,49 +49,6 @@ func splitEven(batches [][]voronoi.Site, maxUnits int) []Unit {
 	for u := 0; u < k; u++ {
 		lo, hi := u*n/k, (u+1)*n/k
 		units = append(units, makeUnit(u, batches[lo:hi]))
-	}
-	return units
-}
-
-// splitBalanced cuts the batch sequence into at most maxUnits runs of
-// near-equal total entry count: each cut greedily fills one unit up to the
-// average of the points still unassigned, always leaving at least one
-// batch for every unit still to come.
-func splitBalanced(batches [][]voronoi.Site, maxUnits int) []Unit {
-	n := len(batches)
-	if n == 0 {
-		return nil
-	}
-	k := maxUnits
-	if k > n {
-		k = n
-	}
-	remaining := 0
-	for _, b := range batches {
-		remaining += len(b)
-	}
-	units := make([]Unit, 0, k)
-	start := 0
-	for u := 0; u < k && start < n; u++ {
-		unitsLeft := k - u
-		if unitsLeft == 1 {
-			units = append(units, makeUnit(u, batches[start:]))
-			break
-		}
-		target := float64(remaining) / float64(unitsLeft)
-		points, end := 0, start
-		for end < n {
-			// Take at least one batch, then stop at the target — or when
-			// the batches left are exactly enough for the units left.
-			if points > 0 && (float64(points) >= target || n-end <= unitsLeft-1) {
-				break
-			}
-			points += len(batches[end])
-			end++
-		}
-		units = append(units, makeUnit(u, batches[start:end]))
-		remaining -= points
-		start = end
 	}
 	return units
 }

@@ -19,6 +19,12 @@ func flatTestPoints(n int, seed int64) []geom.Point {
 
 var flatTestDomain = geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
 
+// frozenPoints bulk-loads pts into a paged tree and freezes it.
+func frozenPoints(pts []geom.Point) *Tree {
+	buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
+	return BulkLoadPoints(buf, pts, flatTestDomain, 1).Freeze()
+}
+
 // sameStructure walks two trees in lockstep and fails on the first
 // structural difference: node shape, entry order or entry content. Child
 // page ids are deliberately NOT compared — Freeze renumbers them — only
@@ -105,26 +111,6 @@ func TestFreezeStructuralEquality(t *testing.T) {
 	}
 }
 
-// TestFlatBulkLoadMatchesFreeze: the direct flat bulk loader and the
-// paged-then-frozen path produce structurally identical trees.
-func TestFlatBulkLoadMatchesFreeze(t *testing.T) {
-	for _, n := range []int{0, 1, 41, 2000, 10_000} {
-		pts := flatTestPoints(n, int64(n)+7)
-		buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
-		frozen := BulkLoadPoints(buf, pts, flatTestDomain, 1).Freeze()
-		direct := FlatBulkLoadPoints(pts, flatTestDomain, 1024, 1)
-		if direct.flat == nil {
-			t.Fatalf("n=%d: FlatBulkLoadPoints returned a non-flat tree", n)
-		}
-		sameStructure(t, frozen, direct)
-		if n > 0 {
-			if err := direct.CheckInvariants(); err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-		}
-	}
-}
-
 // TestFreezePolygonTree: the vertex arena deep-copies polygon leaves.
 func TestFreezePolygonTree(t *testing.T) {
 	buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
@@ -145,7 +131,7 @@ func TestFreezePolygonTree(t *testing.T) {
 
 // TestFlatImmutable: every mutation entry point panics on a flat tree.
 func TestFlatImmutable(t *testing.T) {
-	flat := FlatBulkLoadPoints(flatTestPoints(500, 3), flatTestDomain, 1024, 1)
+	flat := frozenPoints(flatTestPoints(500, 3))
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -163,7 +149,7 @@ func TestFlatImmutable(t *testing.T) {
 // TestFlatLedgerStats: flat reads count logical reads and decode hits on
 // the ledger and never touch a page counter.
 func TestFlatLedgerStats(t *testing.T) {
-	flat := FlatBulkLoadPoints(flatTestPoints(5000, 5), flatTestDomain, 1024, 1)
+	flat := frozenPoints(flatTestPoints(5000, 5))
 	flat.Buffer().ResetStats()
 	var total int64
 	var walk func(id storage.PageID, level int)
@@ -192,7 +178,7 @@ func TestFlatLedgerStats(t *testing.T) {
 // TestFlatReadNodeAllocs: the steady-state flat read path is
 // allocation-free (the alloc-guard of the flat hot path).
 func TestFlatReadNodeAllocs(t *testing.T) {
-	flat := FlatBulkLoadPoints(flatTestPoints(5000, 9), flatTestDomain, 1024, 1)
+	flat := frozenPoints(flatTestPoints(5000, 9))
 	root := flat.Root()
 	child := flat.ReadNode(root).Entries[0].Child
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -205,21 +191,13 @@ func TestFlatReadNodeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFlatBuild prices flat tree construction: one-shot conversion of
-// a bulk-loaded paged tree (Freeze) vs the direct arena bulk load.
+// BenchmarkFlatBuild prices flat tree construction: the one-shot
+// conversion (Freeze) of a bulk-loaded 50K-point paged tree.
 func BenchmarkFlatBuild(b *testing.B) {
-	pts := flatTestPoints(50_000, 11)
-	b.Run("Freeze", func(b *testing.B) {
-		buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
-		paged := BulkLoadPoints(buf, pts, flatTestDomain, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			paged.Freeze()
-		}
-	})
-	b.Run("Direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			FlatBulkLoadPoints(pts, flatTestDomain, 1024, 1)
-		}
-	})
+	buf := storage.NewBuffer(storage.NewDisk(1024), 1<<20)
+	paged := BulkLoadPoints(buf, flatTestPoints(50_000, 11), flatTestDomain, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		paged.Freeze()
+	}
 }

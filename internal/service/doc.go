@@ -45,7 +45,12 @@
 //     fix it), otherwise the in-memory grid backend (internal/grid, zero
 //     I/O) when both datasets' ingest-time skew statistics say the
 //     uniform tiling will hold up, and serial NM-CIJ for skewed serial
-//     joins. The materializing algorithms (PM/FM) write Voronoi R-trees,
+//     joins. plan returns the decision together with its reason and
+//     inputs (an Explanation): each branch writes its own reason as it
+//     decides, and Join and Explain share one lookup-and-plan step, so
+//     the narration served by explain=1 and journaled per join is the
+//     decision that ran, never a reconstruction that could drift from
+//     it. The materializing algorithms (PM/FM) write Voronoi R-trees,
 //     so they run in a per-request scratch environment (their own disk)
 //     instead of the registry's read-only disks. A bounded admission
 //     semaphore caps the number of joins executing at once: excess
@@ -127,8 +132,10 @@
 //     dataset names *with versions* — observations survive re-ingests
 //     without silently mixing distributions.
 //   - Decision: the executed Plan (algo, storage, workers), Cached, the
-//     planner's narrated Reason, and PlanInputs (cardinalities, skew
-//     statistics, the gate constants in force) — the feature vector.
+//     planner's Reason, and PlanInputs (cardinalities, skew statistics,
+//     the gate constants in force) — the feature vector. Joins journal
+//     the Explanation they were planned with; delta records carry the
+//     same PlanInputs of the mutated pair.
 //   - Outcome: Pairs and Stats, where Stats is built by the same
 //     projection as the JoinResponse's (Outcome.statsJSON), making the
 //     journal byte-equal to the response and, because the metric
@@ -172,8 +179,13 @@
 // Recovery (Open) replays manifest -> snapshots -> WAL tail to the exact
 // last-installed state, reports itself via RecoveryInfo and the
 // cij_recovery_* /metrics families, and Close writes the final
-// checkpoint plus the clean-shutdown marker. Fsck (fsck.go) is the same
-// pipeline read-only, surfaced as `cijtool fsck`; the crash matrix in
+// checkpoint plus the clean-shutdown marker. One function judges each WAL
+// record (classifyWALRecord: apply, stale, or stop). A record that stops
+// replay — undecodable, or a version gap — ends it; recovery then
+// checkpoints before serving, so the unreplayable tail is dropped instead
+// of hiding every later append behind it. Fsck (fsck.go) is the same
+// pipeline read-only under the same record rule, surfaced as
+// `cijtool fsck`; the crash matrix in
 // internal/check proves every fault point recovers to an
 // exactly-installed version.
 package service

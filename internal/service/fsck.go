@@ -46,7 +46,9 @@ func (r *FsckReport) problemf(format string, args ...any) {
 // writing: the manifest decodes, every referenced snapshot passes its
 // page checksums and rebuilds a structurally valid tree, and the WAL
 // scans into records that replay contiguously onto the snapshot
-// versions. cijtool's `fsck` subcommand prints the report.
+// versions. Records are judged by the rule recovery applies them by
+// (classifyWALRecord), so the WAL counts predict what Open will report.
+// cijtool's `fsck` subcommand prints the report.
 func Fsck(fsys storage.FS, dir string) (*FsckReport, error) {
 	r := &FsckReport{}
 	data, err := storage.ReadFileAll(fsys, filepath.Join(dir, manifestName))
@@ -104,22 +106,22 @@ func Fsck(fsys storage.FS, dir string) (*FsckReport, error) {
 	r.WALCorrupt = scan.CorruptRecords
 	r.WALTornTail = scan.TornTail
 	for i, raw := range scan.Records {
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			r.problemf("WAL record %d does not decode: %v", i, err)
+		rec, verdict, err := classifyWALRecord(raw, func(name string) (int, bool) {
+			v, ok := versions[name]
+			return v, ok
+		})
+		if verdict == walStop {
+			r.WALCorrupt++
+			r.problemf("WAL record %d: %v; recovery stops there and discards %d record(s)",
+				i, err, len(scan.Records)-i)
 			break
 		}
-		v, known := versions[rec.Name]
-		switch {
-		case !known, rec.Result <= v:
+		if verdict == walStale {
 			r.WALStale++
-		case rec.Base == v:
-			versions[rec.Name] = rec.Result
-			r.WALReplayable++
-		default:
-			r.problemf("WAL record %d: %q jumps from version %d to %d (snapshot holds %d)",
-				i, rec.Name, rec.Base, rec.Result, v)
+			continue
 		}
+		versions[rec.Name] = rec.Result
+		r.WALReplayable++
 	}
 
 	// Unreferenced page files are expected flotsam of a crash between a

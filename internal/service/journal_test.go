@@ -456,7 +456,7 @@ func TestExplainObserved(t *testing.T) {
 	p, q := dataset.Uniform(300, 131), dataset.Uniform(300, 132)
 	_, ts := newTestServer(t, service.Config{}, p, q)
 
-	explain := func() service.Explanation {
+	getExplanation := func() service.Explanation {
 		t.Helper()
 		body, _ := json.Marshal(service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
 		resp, err := http.Post(ts.URL+"/join?explain=1", "application/json", bytes.NewReader(body))
@@ -471,7 +471,7 @@ func TestExplainObserved(t *testing.T) {
 		return ex
 	}
 
-	ex := explain()
+	ex := getExplanation()
 	if ex.Observed == nil {
 		t.Fatal("explain omitted the observed block with the journal enabled")
 	}
@@ -480,7 +480,7 @@ func TestExplainObserved(t *testing.T) {
 	}
 
 	jr := postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"})
-	ex = explain()
+	ex = getExplanation()
 	if ex.Observed.Matches != 1 {
 		t.Fatalf("observed %d matches after one computed join, want 1", ex.Observed.Matches)
 	}
@@ -492,7 +492,7 @@ func TestExplainObserved(t *testing.T) {
 	}
 
 	postJoin(t, ts, service.JoinRequest{Left: "p", Right: "q", Algo: "nm"}) // cache hit
-	ex = explain()
+	ex = getExplanation()
 	if ex.Observed.Matches != 1 || ex.Observed.CachedMatches != 1 {
 		t.Fatalf("after a hit: matches %d cached %d, want 1/1", ex.Observed.Matches, ex.Observed.CachedMatches)
 	}

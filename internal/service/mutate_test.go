@@ -374,6 +374,10 @@ func TestSubscribeChurn(t *testing.T) {
 		if rec.ID != deltas[0].QueryID && rec.ID != deltas[1].QueryID {
 			t.Fatalf("journal delta record ID %d matches no stream summary", rec.ID)
 		}
+		// Its inputs carry the planner's gates, like a join record's.
+		if in := rec.Inputs; in.TotalPoints != in.LeftPoints+in.RightPoints || in.GridSkewMax == 0 || in.PointsPerWorker == 0 || in.MaxWorkers == 0 {
+			t.Fatalf("journal delta record inputs %+v lack the planner gates", in)
+		}
 	}
 }
 

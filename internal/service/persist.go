@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"path/filepath"
 	"time"
 
-	"cij/internal/dataset"
 	"cij/internal/geom"
-	"cij/internal/grid"
 	"cij/internal/rtree"
 	"cij/internal/storage"
 )
@@ -33,12 +30,15 @@ import (
 //
 // Recovery replays manifest -> snapshots -> WAL tail: each snapshot
 // restores its dataset at the manifest's version, then WAL records apply
-// in order wherever record.Result == version+1 and are skipped as stale
-// wherever record.Result <= version (the checkpoint-then-crash-before-trim
-// case — replay is idempotent by version arithmetic, no record ever
-// applies twice). Checkpoints fold the log into fresh snapshots and trim
-// it; the manifest moves first, so a crash between the two only creates
-// stale records.
+// in order wherever they continue the chain (Base == version, Result ==
+// version+1) and are skipped as stale wherever Result <= version (the
+// checkpoint-then-crash-before-trim case — replay is idempotent by
+// version arithmetic, no record ever applies twice). Any other record
+// stops replay (classifyWALRecord), and recovery then checkpoints, so the
+// log restarts empty instead of keeping an unreplayable record that later
+// appends would sit behind. Checkpoints fold the log into fresh snapshots
+// and trim it; the manifest moves first, so a crash between the two only
+// creates stale records.
 const (
 	manifestName   = "MANIFEST.json"
 	walName        = "wal.log"
@@ -193,42 +193,42 @@ func openStore(fsys storage.FS, dir string, reg *Registry, metrics *serviceMetri
 			"corrupt_records", scan.CorruptRecords)
 	}
 
+	discarded := 0
+replay:
 	for i, raw := range scan.Records {
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// The frame CRC held but the payload does not decode: framing
-			// from a different build, or corruption the CRC cannot see.
-			// Stop replay here, like a mid-log CRC failure.
-			info.CorruptRecords++
-			logger.Warn("stopping WAL replay at undecodable record", "index", i, "err", err)
-			break
-		}
-		cur, ok := reg.Get(rec.Name)
-		if !ok {
-			// A record for a dataset the manifest does not know: the
-			// ingest protocol writes the manifest before any WAL record
-			// can name the dataset, so this is stale state from before a
-			// (crashed) re-initialization. Skip.
+		rec, verdict, err := classifyWALRecord(raw, func(name string) (int, bool) {
+			d, ok := reg.Get(name)
+			if !ok {
+				return 0, false
+			}
+			return d.Version, true
+		})
+		switch verdict {
+		case walStale:
 			info.Stale++
-			continue
-		}
-		if rec.Result <= cur.Version {
-			info.Stale++
-			continue
-		}
-		if rec.Base != cur.Version {
+		case walApply:
+			if _, _, _, err := reg.Mutate(rec.Name, rec.Spec); err != nil {
+				// The batch validated before it was logged; failing now
+				// means the recovered base state does not match what the
+				// record was built against — corruption, not a tolerable
+				// skip.
+				return nil, nil, fmt.Errorf("service: replaying WAL record %d for %q: %w", i, rec.Name, err)
+			}
+			info.Replayed++
+		case walStop:
 			info.CorruptRecords++
-			logger.Warn("stopping WAL replay at version gap",
-				"index", i, "dataset", rec.Name, "record_base", rec.Base, "have", cur.Version)
-			break
+			discarded = len(scan.Records) - i
+			logger.Warn("stopping WAL replay", "index", i, "err", err, "discarded_records", discarded)
+			for j, raw := range scan.Records[i:] {
+				var lost walRecord
+				// Best effort: the fields name what was lost; an undecodable
+				// record logs with them empty.
+				_ = json.Unmarshal(raw, &lost)
+				logger.Warn("discarding WAL record", "index", i+j, "bytes", len(raw),
+					"dataset", lost.Name, "base", lost.Base, "result", lost.Result)
+			}
+			break replay
 		}
-		if _, _, _, err := reg.Mutate(rec.Name, rec.Spec); err != nil {
-			// The batch validated before it was logged; failing now means
-			// the recovered base state does not match what the record was
-			// built against — corruption, not a tolerable skip.
-			return nil, nil, fmt.Errorf("service: replaying WAL record %d for %q: %w", i, rec.Name, err)
-		}
-		info.Replayed++
 	}
 
 	// From here the process is live: mark the manifest dirty so the next
@@ -238,7 +238,57 @@ func openStore(fsys storage.FS, dir string, reg *Registry, metrics *serviceMetri
 	if err := st.writeManifest(); err != nil {
 		return nil, nil, fmt.Errorf("service: marking manifest dirty: %w", err)
 	}
+	// Replay stopped short of the log's end: every later append would land
+	// behind the unreplayable record and be lost at the next recovery, so
+	// fold what was replayed into snapshots and trim the log before
+	// serving anything.
+	if discarded > 0 {
+		if err := st.checkpoint(reg); err != nil {
+			return nil, nil, fmt.Errorf("service: checkpointing past %d unreplayable WAL records: %w", discarded, err)
+		}
+	}
 	return st, info, nil
+}
+
+// walVerdict is what replay does with one WAL record.
+type walVerdict int
+
+const (
+	// walApply: the record moves its dataset from the version replay has
+	// reached to the next one.
+	walApply walVerdict = iota
+	// walStale: its version is already in a snapshot (a checkpoint ran,
+	// the crash hit before the trim), or no snapshot names its dataset
+	// (the ingest protocol writes the manifest before any record can name
+	// a dataset, so the record predates a re-initialization).
+	walStale
+	// walStop: the record does not decode, or it does not continue its
+	// dataset's version chain. Replay ends here; nothing after it applies.
+	walStop
+)
+
+// classifyWALRecord decodes one WAL record and judges it against the
+// version replay has reached for its dataset (version reports false for a
+// dataset no snapshot names). It is the one replay rule: recovery
+// (openStore) applies by it and Fsck predicts recovery by it. err says why
+// a record stops replay.
+func classifyWALRecord(raw []byte, version func(name string) (int, bool)) (walRecord, walVerdict, error) {
+	var rec walRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		// The frame CRC held but the payload does not decode: framing
+		// from a different build, or corruption the CRC cannot see.
+		return rec, walStop, fmt.Errorf("record does not decode: %w", err)
+	}
+	v, known := version(rec.Name)
+	switch {
+	case !known, rec.Result <= v:
+		return rec, walStale, nil
+	case rec.Base == v && rec.Result == v+1:
+		return rec, walApply, nil
+	default:
+		return rec, walStop, fmt.Errorf("%q jumps from version %d to %d, but replay reaches version %d",
+			rec.Name, rec.Base, rec.Result, v)
+	}
 }
 
 func (st *Store) writeManifest() error {
@@ -448,26 +498,7 @@ func restoreDataset(fsys storage.FS, path string, md manifestDataset, bufferPct 
 		}
 	}
 
-	pages := tree.NumPages()
-	capPages := int(math.Ceil(float64(pages) * bufferPct / 100))
-	if capPages < 1 {
-		capPages = 1
-	}
-	d := &Dataset{
-		Name:        md.Name,
-		Version:     md.Version,
-		Points:      pts,
-		Alive:       alive,
-		Live:        len(entries),
-		Tree:        tree,
-		FlatTree:    tree.Freeze(),
-		Pages:       pages,
-		BufferPages: capPages,
-	}
-	livePts, _ := d.JoinPoints()
-	d.Skew = grid.SkewEstimate(livePts, dataset.Domain)
-	buf.SetCapacity(capPages)
-	buf.DropAll()
-	buf.ResetStats()
+	d := newDataset(md.Name, pts, alive, len(entries), tree, bufferPct)
+	d.Version = md.Version
 	return d, nil
 }

@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"cij/internal/core"
@@ -405,5 +407,129 @@ func TestFsck(t *testing.T) {
 	}
 	if rep.OK() {
 		t.Fatal("fsck accepted a corrupted snapshot")
+	}
+}
+
+// appendWAL appends payloads to the closed data directory's WAL as
+// correctly framed (checksum-valid) records.
+func appendWAL(t *testing.T, fs storage.FS, payloads ...[]byte) {
+	t.Helper()
+	w, _, err := storage.OpenWAL(fs, "data/wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// walPayload encodes one mutation record the way logMutation does.
+func walPayload(t *testing.T, name string, base int, insert geom.Point) []byte {
+	t.Helper()
+	data, err := json.Marshal(walRecord{Name: name, Base: base, Result: base + 1,
+		Spec: MutationSpec{Insert: []geom.Point{insert}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDurableAckedAfterReplayStop: a checksum-valid WAL record that replay
+// refuses (a version gap, or a payload that does not decode) stops
+// recovery. Mutations acknowledged after that recovery must survive the
+// next crash — they must not land in the log behind the refused record,
+// where the next replay would never reach them.
+func TestDurableAckedAfterReplayStop(t *testing.T) {
+	for _, bad := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"version gap", walPayload(t, "p", 5, geom.Pt(1, 1))},
+		{"undecodable", []byte("not json")},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			fs := storage.NewFaultFS()
+			s := mustOpen(t, fs)
+			mustIngest(t, s, "p", dataset.Uniform(200, 10))
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			appendWAL(t, fs, bad.payload)
+
+			s2 := mustOpen(t, fs)
+			if rec := s2.Recovery(); rec.Replayed != 0 || rec.CorruptRecords != 1 {
+				t.Fatalf("recovery = %+v, want 0 replayed and 1 corrupt record", rec)
+			}
+			resp := mustMutate(t, s2, "p", MutationRequest{Insert: []PointJSON{{X: 7, Y: 8}}})
+			wantP := s2.mustGet(t, "p")
+			if wantP.Version != 2 || resp.Version != 2 {
+				t.Fatalf("mutation acknowledged v%d (dataset at v%d), want v2", resp.Version, wantP.Version)
+			}
+
+			fs.Crash(storage.CrashLoseUnsynced)
+			fs.Restart()
+			s3 := mustOpen(t, fs)
+			assertDatasetsEqual(t, wantP, s3.mustGet(t, "p"))
+		})
+	}
+}
+
+// TestFsckMatchesRecovery: fsck predicts recovery record for record. A
+// version gap in the middle of the log stops replay, so the records
+// behind it — even one that would continue its own dataset's chain — are
+// not replayable, and fsck must say so rather than count them.
+func TestFsckMatchesRecovery(t *testing.T) {
+	fs := storage.NewFaultFS()
+	s := mustOpen(t, fs)
+	mustIngest(t, s, "p", dataset.Uniform(150, 11))
+	mustIngest(t, s, "q", dataset.Uniform(150, 12))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendWAL(t, fs,
+		walPayload(t, "p", 1, geom.Pt(3, 4)),
+		walPayload(t, "p", 5, geom.Pt(5, 6)), // gap: p is at v2 here
+		walPayload(t, "q", 1, geom.Pt(7, 8)),
+	)
+
+	rep, err := Fsck(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WALRecords != 3 || rep.OK() {
+		t.Fatalf("fsck = %+v, want 3 records and a problem", rep)
+	}
+	s2 := mustOpen(t, fs)
+	rec := s2.Recovery()
+	if rep.WALReplayable != rec.Replayed || rep.WALStale != rec.Stale || rep.WALCorrupt != rec.CorruptRecords {
+		t.Fatalf("fsck predicted %d replayable / %d stale / %d corrupt, recovery did %d / %d / %d",
+			rep.WALReplayable, rep.WALStale, rep.WALCorrupt, rec.Replayed, rec.Stale, rec.CorruptRecords)
+	}
+	if rec.Replayed != 1 {
+		t.Fatalf("recovery replayed %d records, want 1", rec.Replayed)
+	}
+	if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], "replay reaches version 2") {
+		t.Fatalf("fsck problems = %q, want one naming the version replay reaches", rep.Problems)
+	}
+	if p, q := s2.mustGet(t, "p"), s2.mustGet(t, "q"); p.Version != 2 || q.Version != 1 {
+		t.Fatalf("recovered p@v%d q@v%d, want p@v2 q@v1", p.Version, q.Version)
+	}
+
+	// Recovery folded the replayed prefix into snapshots and dropped the
+	// refused tail, so the directory it serves from checks clean.
+	rep, err = Fsck(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.WALRecords != 0 {
+		t.Fatalf("fsck after recovery = %+v (problems %v)", rep, rep.Problems)
 	}
 }

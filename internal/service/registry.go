@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"math"
 	"regexp"
 	"sort"
 	"sync"
@@ -396,28 +395,7 @@ func (r *Registry) PrepareMutation(name string, spec MutationSpec) (*PreparedMut
 		changes = append(changes, delta.Change{Op: delta.OpInsert, ID: id, New: p})
 	}
 
-	// Re-derive the serving-shape parameters for the new page population,
-	// then start its buffer cold, exactly like an ingest-time build.
-	pages := mt.NumPages()
-	capPages := int(math.Ceil(float64(pages) * r.bufferPct / 100))
-	if capPages < 1 {
-		capPages = 1
-	}
-	mbuf.SetCapacity(capPages)
-	mbuf.DropAll()
-	mbuf.ResetStats()
-	cur := &Dataset{
-		Name:        name,
-		Points:      pts,
-		Alive:       alive,
-		Live:        d.Live + len(spec.Insert) - len(spec.Delete),
-		Tree:        mt,
-		FlatTree:    mt.Freeze(),
-		Pages:       pages,
-		BufferPages: capPages,
-	}
-	livePts, _ := cur.JoinPoints()
-	cur.Skew = grid.SkewEstimate(livePts, dataset.Domain)
+	cur := newDataset(name, pts, alive, d.Live+len(spec.Insert)-len(spec.Delete), mt, r.bufferPct)
 	return &PreparedMutation{name: name, old: d, cur: cur, spec: spec, changes: changes}, nil
 }
 
@@ -439,44 +417,37 @@ func (r *Registry) Install(p *PreparedMutation) (old, cur *Dataset, changes []de
 	return p.old, p.cur, p.changes, nil
 }
 
-// buildDataset bulk-loads pts into an R-tree on a fresh private disk and
-// records the page-derived buffer capacity queries will fork with.
+// buildDataset bulk-loads pts into an R-tree on a fresh private disk
+// and gives it its serving shape.
 func buildDataset(name string, pts []geom.Point, bufferPct float64) *Dataset {
-	tree := loadTrees(bufferPct, pts)[0]
-	return &Dataset{
+	buf := storage.NewBuffer(storage.NewDisk(storage.DefaultPageSize), 1<<30)
+	tree := rtree.BulkLoadPoints(buf, pts, dataset.Domain, 1)
+	return newDataset(name, pts, nil, len(pts), tree, bufferPct)
+}
+
+// newDataset gives a tree its serving shape — the one place ingest,
+// mutation and restore derive it. tree must still sit on the unbounded
+// buffer it was built (or restored, or mutated) through, so the flat
+// freeze reads it without evictions; afterwards that buffer is sized to
+// bufferPct% of the tree's pages, which is also the capacity every query
+// view forks with, and cleared, so measurement starts cold. The skew
+// statistic covers the live points only.
+func newDataset(name string, pts []geom.Point, alive []bool, live int, tree *rtree.Tree, bufferPct float64) *Dataset {
+	d := &Dataset{
 		Name:        name,
 		Points:      pts,
-		Live:        len(pts),
+		Alive:       alive,
+		Live:        live,
 		Tree:        tree,
 		FlatTree:    tree.Freeze(),
 		Pages:       tree.NumPages(),
-		BufferPages: tree.Buffer().Capacity(),
-		Skew:        grid.SkewEstimate(pts, dataset.Domain),
+		BufferPages: storage.CapacityFor(tree.NumPages(), bufferPct),
 	}
-}
-
-// loadTrees bulk-loads each pointset into an R-tree on one fresh private
-// disk. The build runs through an effectively unbounded buffer
-// (construction I/O is not what the service meters); afterwards the
-// shared buffer is sized to bufferPct% of the total data pages (at least
-// one) and cleared, so measurement starts cold. Both the registry
-// (buildDataset, one set) and the materializing algorithms' scratch
-// environment (buildScratchEnv, two sets) size through this one formula.
-func loadTrees(bufferPct float64, sets ...[]geom.Point) []*rtree.Tree {
-	disk := storage.NewDisk(storage.DefaultPageSize)
-	buf := storage.NewBuffer(disk, 1<<30)
-	trees := make([]*rtree.Tree, len(sets))
-	pages := 0
-	for i, pts := range sets {
-		trees[i] = rtree.BulkLoadPoints(buf, pts, dataset.Domain, 1)
-		pages += trees[i].NumPages()
-	}
-	capPages := int(math.Ceil(float64(pages) * bufferPct / 100))
-	if capPages < 1 {
-		capPages = 1
-	}
-	buf.SetCapacity(capPages)
+	livePts, _ := d.JoinPoints()
+	d.Skew = grid.SkewEstimate(livePts, dataset.Domain)
+	buf := tree.Buffer()
+	buf.SetCapacity(d.BufferPages)
 	buf.DropAll()
 	buf.ResetStats()
-	return trees
+	return d
 }

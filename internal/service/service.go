@@ -35,20 +35,13 @@ type Config struct {
 	SlowQuery time.Duration
 	// JournalEntries caps the query-journal ring; < 0 disables journaling
 	// entirely, 0 selects the default (DefaultJournalEntries). With the
-	// journal on, every computed join is traced so the slowest-K can
-	// retain their phase breakdowns.
+	// journal on, every computed join is traced so the slowest-K
+	// (DefaultJournalSlowest) can retain their phase breakdowns.
 	JournalEntries int
-	// JournalSlowest caps the retained slowest-query traces; <= 0 selects
-	// the default (DefaultJournalSlowest).
-	JournalSlowest int
 	// JournalSink, when non-nil, receives one JSON line per observation —
 	// the append-only JSONL persistence of the journal (cijserver's
 	// -journal flag opens a file here).
 	JournalSink io.Writer
-	// HistoryCapacity caps the metrics-history ring; <= 0 selects the
-	// default (history.DefaultCapacity). Sampling starts only when the
-	// caller runs History().Start (cijserver's -history-interval).
-	HistoryCapacity int
 	// DataDir, when set, makes the service durable (use Open, not New):
 	// the dataset registry persists under this directory (manifest +
 	// snapshot page files + WAL) and a cold start restores it, replaying
@@ -135,12 +128,12 @@ func New(cfg Config) *Service {
 		logger:  logger,
 	}
 	if cfg.JournalEntries >= 0 {
-		s.journal = NewJournal(cfg.JournalEntries, cfg.JournalSlowest, cfg.JournalSink)
+		s.journal = NewJournal(cfg.JournalEntries, DefaultJournalSlowest, cfg.JournalSink)
 	}
 	s.metrics = newServiceMetrics(s)
 	s.cache = newResultCache(cfg.CacheEntries, s.metrics.cacheHits, s.metrics.cacheMisses, s.metrics.cacheEvictions)
 	s.runtime = obs.NewRuntimeCollector(s.metrics.reg, s.start)
-	s.history = history.New(s.metrics.reg, cfg.HistoryCapacity, s.runtime.Collect)
+	s.history = history.New(s.metrics.reg, history.DefaultCapacity, s.runtime.Collect)
 	return s
 }
 
@@ -309,18 +302,11 @@ type Outcome struct {
 // result is cached. ctx cancellation is honored while queued for
 // admission or waiting on another request's flight.
 func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome, error) {
-	left, ok := s.reg.Get(q.Left)
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", q.Left)
-	}
-	right, ok := s.reg.Get(q.Right)
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", q.Right)
-	}
-	pl, err := plan(q, left, right)
+	left, right, ex, err := s.resolve(q)
 	if err != nil {
 		return nil, err
 	}
+	pl := ex.Plan
 
 	s.metrics.planner.With(pl.Algo).Inc()
 	s.metrics.plannerStorage.With(storageLabel(pl.Storage)).Inc()
@@ -333,7 +319,7 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 	key := cacheKey(left, right, pl.Algo, pl.Workers, pl.Storage)
 	if res, ok := s.cache.get(key); ok {
 		s.metrics.joins.With(pl.Algo, "cached").Inc()
-		return s.record(q, &Outcome{Result: res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
+		return s.record(ex, &Outcome{Result: res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
 	}
 
 	s.flightMu.Lock()
@@ -348,7 +334,7 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 		}
 		if f.res != nil {
 			s.metrics.joins.With(pl.Algo, "cached").Inc()
-			return s.record(q, &Outcome{Result: f.res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
+			return s.record(ex, &Outcome{Result: f.res, Plan: pl, Cached: true, Left: left, Right: right, QueryID: qid}), nil
 		}
 		// The leader bailed before executing (admission cancelled);
 		// compute directly — the admission semaphore still bounds a
@@ -357,7 +343,7 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 		if err != nil {
 			return nil, err
 		}
-		return s.record(q, out), nil
+		return s.record(ex, out), nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
@@ -374,14 +360,17 @@ func (s *Service) Join(ctx context.Context, q Query, hooks execHooks) (*Outcome,
 		return nil, err
 	}
 	f.res = out.Result
-	return s.record(q, out), nil
+	return s.record(ex, out), nil
 }
 
-// record journals one served join: the planner's inputs and narrated
-// reason next to the measured outcome, with the computed run's phase
-// spans competing for slowest-K retention. The record's Stats is built by
-// the same projection the JoinResponse uses, so the two are byte-equal.
-func (s *Service) record(q Query, out *Outcome) *Outcome {
+// record journals one served join: the planner's decision (inputs and
+// reason, as planned for this very request) next to the measured outcome,
+// with the computed run's phase spans competing for slowest-K retention.
+// The journal line must stand alone as a training observation, so it
+// carries the full decision context, not a pointer to it. The record's
+// Stats is built by the same projection the JoinResponse uses, so the two
+// are byte-equal.
+func (s *Service) record(ex Explanation, out *Outcome) *Outcome {
 	if !s.journal.Enabled() {
 		return out
 	}
@@ -398,14 +387,9 @@ func (s *Service) record(q Query, out *Outcome) *Outcome {
 		Cached:       out.Cached,
 		Pairs:        out.Result.Count,
 		Stats:        out.statsJSON(),
+		Reason:       ex.Reason,
+		Inputs:       ex.Inputs,
 		Slow:         !out.Cached && s.cfg.SlowQuery > 0 && out.Result.CPU >= s.cfg.SlowQuery,
-	}
-	// The narration re-runs the (deterministic) planner; the journal line
-	// must stand alone as a training observation, so it carries the full
-	// decision context, not a pointer to it.
-	if ex, err := explain(q, out.Left, out.Right); err == nil {
-		rec.Reason = ex.Reason
-		rec.Inputs = ex.Inputs
 	}
 	var spans []obs.Span
 	var dropped int64

@@ -301,13 +301,7 @@ func (s *Service) computeDelta(leftName, rightName string, old, cur *Dataset, ch
 			Stats:        sum.Stats,
 			Reason: fmt.Sprintf("incremental maintenance after mutation of %q: %d changes touched %d sites, churning +%d/-%d pairs",
 				cur.Name, len(changes), res.Affected, len(res.Added), len(res.Removed)),
-			Inputs: PlanInputs{
-				LeftPoints:  ld.Live,
-				RightPoints: rd.Live,
-				TotalPoints: ld.Live + rd.Live,
-				LeftSkew:    ld.Skew,
-				RightSkew:   rd.Skew,
-			},
+			Inputs: planInputs(ld, rd),
 		}, nil, 0)
 	}
 	s.logger.Info("delta computed",

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Stats accumulates the I/O counters reported in the paper's experiments.
 type Stats struct {
@@ -89,6 +92,17 @@ type bufEntry struct {
 	id         PageID
 	data       []byte
 	prev, next *bufEntry
+}
+
+// CapacityFor is the buffer size, in pages, that holds pct% of a
+// pages-page dataset, rounded up: at least one page whenever pct > 0, and
+// none when pct is 0 (the paper's buffer-less setting).
+func CapacityFor(pages int, pct float64) int {
+	c := int(math.Ceil(float64(pages) * pct / 100))
+	if pct > 0 && c < 1 {
+		c = 1
+	}
+	return c
 }
 
 // NewBuffer creates a buffer over disk with room for capacity pages.

@@ -62,3 +62,24 @@ func TestLRUFreeListRecycles(t *testing.T) {
 		t.Fatalf("steady-state page churn allocates %.2f objects per cycle, want 0", allocs)
 	}
 }
+
+// TestCapacityFor pins the %-of-pages buffer sizing: rounded up, at least
+// one page for any positive share, zero pages only for a zero share.
+func TestCapacityFor(t *testing.T) {
+	for _, tc := range []struct {
+		pages int
+		pct   float64
+		want  int
+	}{
+		{1000, 2, 20},
+		{1001, 2, 21},
+		{10, 2, 1},
+		{0, 2, 1},
+		{1000, 0, 0},
+		{1000, 100, 1000},
+	} {
+		if got := CapacityFor(tc.pages, tc.pct); got != tc.want {
+			t.Errorf("CapacityFor(%d, %v) = %d, want %d", tc.pages, tc.pct, got, tc.want)
+		}
+	}
+}
